@@ -39,11 +39,15 @@
 //
 // -selftest sweeps -encodings (json,binary) and -nrhs widths, and fails
 // if the binary frame does not at least halve the request bytes of the
-// JSON encoding at nrhs >= 8. -selftest -tenantmix additionally runs the
-// adversarial mixed-tenant scenario: a hot tenant with a tiny queue
-// quota floods the engine while light tenants keep posting; the run
-// fails unless the light tenant finishes error-free with bounded p99
-// while the hot tenant's overflow lands as 429-driven retries.
+// JSON encoding at nrhs >= 8, or if at concurrency 1 a binary nrhs=1
+// request is slower than an nrhs=8 one or the sampled assemble stage
+// outlasts the flush (a lone request must cost its multiply; an explicit
+// -maxwait linger fails both by design). -selftest -tenantmix
+// additionally runs the adversarial mixed-tenant scenario: a hot tenant
+// with a tiny queue quota floods the engine while light tenants keep
+// posting; the run fails unless the light tenant finishes error-free
+// with bounded p99 while the hot tenant's overflow lands as 429-driven
+// retries.
 //
 // -selftest -chaos instead arms the pool's fault injector with the
 // -faults schedule and runs the chaos sweep (serve.ChaosRun): 32
@@ -93,7 +97,8 @@ func main() {
 	scale := flag.Float64("scale", 0.01, "generated matrix scale in (0,1]")
 	seed := flag.Int64("seed", 1, "RNG seed for generation and partitioning")
 	maxBatch := flag.Int("maxbatch", 8, "widest coalesced SpMM batch")
-	maxWait := flag.Duration("maxwait", 200*time.Microsecond, "batching window for a partial batch")
+	maxWait := flag.Duration("maxwait", 0,
+		"opt-in linger: how long a partial batch ages for companions (0 = flush the moment the engine is free)")
 	maxQueue := flag.Int("maxqueue", 1024, "per-engine queue depth bound (admission control)")
 	maxEngines := flag.Int("maxengines", 8, "resident engine cap (idle LRU eviction above it)")
 	forceKernel := flag.String("forcekernel", "",
@@ -251,8 +256,12 @@ func main() {
 	for _, m := range pool.Matrices() {
 		fmt.Fprintf(os.Stderr, "spmvserve: serving %s (%dx%d, %d nnz)\n", m.Name, m.Rows, m.Cols, m.NNZ)
 	}
-	fmt.Fprintf(os.Stderr, "spmvserve: listening on %s (default method %s, K=%d, maxbatch %d, maxwait %v)\n",
-		*addr, *defMethod, *defK, *maxBatch, *maxWait)
+	linger := "none: flush when the engine is free"
+	if *maxWait > 0 {
+		linger = maxWait.String()
+	}
+	fmt.Fprintf(os.Stderr, "spmvserve: listening on %s (default method %s, K=%d, maxbatch %d, linger %s)\n",
+		*addr, *defMethod, *defK, *maxBatch, linger)
 
 	// Graceful drain: on SIGTERM/SIGINT flip /readyz to 503 (load
 	// balancers stop routing), close the listener, and let in-flight
@@ -470,7 +479,9 @@ func runSelftest(srv *serve.Server, pool *serve.Pool, cfg selftestConfig) error 
 	// timing breakdown, so the records carry per-stage percentiles. At
 	// concurrency 1 the closed loop admits each request to an idle
 	// runner, so queue time must not dominate — a queue p99 above the
-	// flush p99 there means the stage attribution regressed.
+	// flush p99 there means the stage attribution regressed — and the
+	// work-conserving scheduler starts the engine at once: an assemble
+	// p50 above the flush p50 means a lone request is lingering again.
 	for _, r := range recs {
 		if len(r.StageP99Ms) == 0 {
 			continue
@@ -490,6 +501,31 @@ func runSelftest(srv *serve.Server, pool *serve.Pool, cfg selftestConfig) error 
 			fmt.Fprintf(os.Stderr,
 				"selftest FAIL: queue p99 %.3fms exceeds flush p99 %.3fms at concurrency 1 (%s nrhs=%d)\n",
 				r.StageP99Ms[serve.StageQueue], r.StageP99Ms[serve.StageFlush], r.Method, r.NRHS)
+			failed = true
+		}
+		if r.Concurrency == 1 && r.StageP50Ms[serve.StageAssemble] > r.StageP50Ms[serve.StageFlush] {
+			fmt.Fprintf(os.Stderr,
+				"selftest FAIL: assemble p50 %.3fms exceeds flush p50 %.3fms at concurrency 1 (%s nrhs=%d)\n",
+				r.StageP50Ms[serve.StageAssemble], r.StageP50Ms[serve.StageFlush], r.Method, r.NRHS)
+			failed = true
+		}
+	}
+	// A request costs its multiply: alone on the server, one binary
+	// right-hand side must not be slower than eight of them. (It was,
+	// while a lone request aged through a linger that a full batch skips.)
+	binP50 := map[string]float64{} // method/nrhs -> binary p50 at concurrency 1
+	for _, r := range recs {
+		if r.Encoding == serve.EncodingBinary && r.Concurrency == 1 {
+			binP50[fmt.Sprintf("%s/%d", r.Method, r.NRHS)] = r.P50Ms
+		}
+	}
+	for _, m := range cfg.methods {
+		one, ok1 := binP50[m+"/1"]
+		eight, ok8 := binP50[m+"/8"]
+		if ok1 && ok8 && one > eight {
+			fmt.Fprintf(os.Stderr,
+				"selftest FAIL: binary nrhs=1 p50 %.3fms exceeds nrhs=8 p50 %.3fms at concurrency 1 (%s)\n",
+				one, eight, m)
 			failed = true
 		}
 	}

@@ -16,11 +16,16 @@ import (
 // a rebuild, then a drain with solves in flight, then a goroutine-leak
 // check. Everything a production operator relies on — bit-identical
 // healthy responses, quarantine + breaker-paced recovery, zero dropped
-// in-flight work — is asserted on the report.
+// in-flight work — is asserted on the report, under the work-conserving
+// default and again with a linger.
 func TestChaosAcceptance(t *testing.T) {
 	if testing.Short() {
 		t.Skip("chaos acceptance needs a multi-second window")
 	}
+	forEachLingerMode(t, testChaosAcceptance)
+}
+
+func testChaosAcceptance(t *testing.T, opt Options) {
 	g0 := runtime.NumGoroutine()
 
 	// Schedule: the 80th worker turn panics (mid-load: each dispatch burns
@@ -32,12 +37,11 @@ func TestChaosAcceptance(t *testing.T) {
 		t.Fatal(err)
 	}
 	inj := faultinject.New(rules...)
-	p := NewPool(Options{
-		Seed:           1,
-		Injector:       inj,
-		PayloadChecks:  true,
-		RebuildBackoff: 20 * time.Millisecond,
-	})
+	opt.Seed = 1
+	opt.Injector = inj
+	opt.PayloadChecks = true
+	opt.RebuildBackoff = 20 * time.Millisecond
+	p := NewPool(opt)
 	if err := p.AddMatrix("lap", testMatrix(t, 16, 16)); err != nil {
 		t.Fatal(err)
 	}

@@ -98,6 +98,13 @@ func TestHTTPContractTable(t *testing.T) {
 		{name: "multiply bad dimension", method: "POST", path: "/v1/multiply",
 			body:       jsonBody(multiplyRequest{engineRequest: engineRequest{Matrix: "lap"}, X: make([]float64, 7)}),
 			wantStatus: 400, wantCode: CodeBadDimension},
+		{name: "multiply max empty vectors", method: "POST", path: "/v1/multiply",
+			body:       jsonBody(multiplyRequest{engineRequest: engineRequest{Matrix: "lap"}, Xs: make([][]float64, wire.MaxVectors)}),
+			wantStatus: 400, wantCode: CodeBadDimension},
+		{name: "multiply too large", method: "POST", path: "/v1/multiply",
+			maxUpload:  256, // the declared length alone is over: refused unread
+			body:       jsonBody(multiplyRequest{engineRequest: engineRequest{Matrix: "lap"}, X: x196}),
+			wantStatus: 413, wantCode: CodePayloadTooLarge},
 		{name: "multiply unknown matrix", method: "POST", path: "/v1/multiply",
 			body:       jsonBody(multiplyRequest{engineRequest: engineRequest{Matrix: "nope"}, X: x196}),
 			wantStatus: 404, wantCode: CodeUnknownMatrix},
@@ -352,9 +359,15 @@ func postRaw(t *testing.T, url, contentType, auth string, body []byte) (*http.Re
 
 // TestJSONBinaryBitIdentical is the tentpole contract: the same
 // multi-RHS multiply through JSON and through the binary frame path
-// returns bit-identical floats, forward and transpose.
+// returns bit-identical floats, forward and transpose, with and without
+// a linger.
 func TestJSONBinaryBitIdentical(t *testing.T) {
-	ts, p := newTestServer(t)
+	forEachLingerMode(t, testJSONBinaryBitIdentical)
+}
+
+func testJSONBinaryBitIdentical(t *testing.T, opt Options) {
+	opt.Seed = 1
+	ts, p := newTestServerOpt(t, opt)
 	a, err := p.Matrix("lap")
 	if err != nil {
 		t.Fatal(err)
@@ -393,6 +406,11 @@ func TestJSONBinaryBitIdentical(t *testing.T) {
 		}
 		if got := resp.Header.Get("Content-Type"); got != wire.ContentType {
 			t.Fatalf("binary response Content-Type %q", got)
+		}
+		// Streamed, not chunked: the frame's length is declared up front.
+		if resp.ContentLength != int64(len(bbody)) || len(resp.TransferEncoding) != 0 {
+			t.Fatalf("binary response Content-Length %d, Transfer-Encoding %v; body is %d bytes",
+				resp.ContentLength, resp.TransferEncoding, len(bbody))
 		}
 		bframe, err := wire.Decode(bbody)
 		if err != nil {

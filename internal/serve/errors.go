@@ -131,7 +131,7 @@ func (e *PinnedMatrixError) Error() string {
 // matrix.
 type DimensionError struct {
 	Got, Want int
-	What      string // "x" or "b"
+	What      string // "x", "b", or a caller-owned output: "y" (a vector) / "ys" (their count)
 }
 
 func (e *DimensionError) Error() string {

@@ -19,9 +19,9 @@ const (
 	StageAdmission = "admission" // engine acquire (build/breaker/quota)
 	StageSchedule  = "schedule"  // multiply: submit → results demuxed
 	StageSolve     = "solve"     // solve: all solver iterations
-	StageEncode    = "encode"    // response marshal
+	StageEncode    = "encode"    // response marshal + write (frames stream straight from the result vectors)
 	StageQueue     = "queue"     // waiting behind other flushes (engine busy)
-	StageAssemble  = "assemble"  // MaxWait aging + batch take + buffer prep
+	StageAssemble  = "assemble"  // engine free → engine started: runner wake-up + batch take + output take (+ any opt-in MaxWait linger)
 	StageFlush     = "flush"     // the engine multiply itself
 	StageExpand    = "expand"    // engine phase: x packet sends
 	StageCompute   = "compute"   // engine phase: local kernel

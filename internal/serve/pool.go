@@ -338,7 +338,7 @@ func (p *Pool) build(e *poolEntry, a *sparse.CSR, methodName string, k int) {
 	// real traffic. RelaxedFP stays false — serving results are
 	// contractually bit-identical to a solo engine, and every non-relaxed
 	// backend preserves that bit for bit.
-	tune := spmv.TuneConfig{Force: p.opt.ForceKernel}
+	tune := spmv.TuneConfig{Force: p.opt.ForceKernel, Widths: tunedWidths(a.NNZ())}
 	if tune.Force == "" {
 		tune.Cache = p.pipeline.KernelCache(a, methodName, k, p.opt.Seed, p.opt.Epsilon)
 	} else if tune.Force == "relaxed" {
@@ -365,6 +365,33 @@ func (p *Pool) build(e *poolEntry, a *sparse.CSR, methodName string, k int) {
 	e.sched = newScheduler(eng, a.Rows, a.Cols, p.opt, e.key, e.kernels, p.inst, func(cause error) {
 		p.quarantine(e, cause)
 	})
+}
+
+// minTimedNNZ is the matrix size from which the pool lets the tuner time
+// the single-vector kernel classes (nrhs 1 and the generic class). There
+// the only candidate besides the reference kernel is the sorted layout,
+// and on a small matrix its win is a few percent of a multiply that is
+// mostly workers waking each other: the tuner's best-of-three probe
+// reads sorted÷scalar anywhere from 0.65 to 1.28 across builds of one
+// 12k-nonzero engine (thirty-two alternating pairs still leave ±8 %)
+// around a true ratio that sits on its 0.98 threshold. The verdict was
+// a coin flip per process, and every request the engine serves for the
+// rest of its life inherits it: 5 % of closed-loop req/s on that matrix.
+// From 2¹⁸ nonzeros a multiply is long enough to time: on the 160k-row
+// benchmark matrices the verdict repeats, and sorted wins nrhs=1 by
+// 15–20 % on the power-law one.
+const minTimedNNZ = 1 << 18
+
+// tunedWidths is the TuneConfig.Widths the pool tunes for a matrix with
+// nnz nonzeros: every class (nil) from minTimedNNZ, and below it only
+// the block classes, where register blocking beats the reference kernels
+// two- to threefold at any size; the classes left out keep the reference
+// kernels, so equal builds serve at equal speed.
+func tunedWidths(nnz int) []int {
+	if nnz < minTimedNNZ {
+		return []int{2, 4, 8}
+	}
+	return nil
 }
 
 // logBreakerLocked emits one structured event per breaker state change
@@ -641,7 +668,21 @@ func (h *Handle) MultiplyTransposeFor(ctx context.Context, tn *Tenant, x []float
 // path as everyone else's, so results remain bit-identical to solo
 // multiplies in every mix.
 func (h *Handle) MultiplyBatch(ctx context.Context, tn *Tenant, xs [][]float64, transpose bool) ([][]float64, error) {
-	return h.e.sched.submitBatch(ctx, tn, xs, transpose)
+	return h.e.sched.submitBatch(ctx, tn, xs, nil, transpose)
+}
+
+// recycle hands MultiplyBatch outputs the caller has finished reading
+// back to the engine's free list, so the next request reuses them
+// instead of allocating. The caller must not touch ys afterwards.
+func (h *Handle) recycle(ys [][]float64) { h.e.sched.returnOutputs(ys) }
+
+// multiplyInto is MultiplyFor into the caller's own y (overwritten in
+// full), so a solver iterating on one work vector pays no allocation or
+// copy per multiply. Neither x nor y may be touched until it returns;
+// on error the contents of y are unspecified.
+func (h *Handle) multiplyInto(ctx context.Context, tn *Tenant, x, y []float64, transpose bool) error {
+	_, err := h.e.sched.submitBatch(ctx, tn, [][]float64{x}, [][]float64{y}, transpose)
+	return err
 }
 
 // Release unpins the engine; the handle must not be used afterwards.

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"math/rand"
+	"strings"
 	"sync"
 	"testing"
 )
@@ -194,5 +195,37 @@ func TestPoolDuplicateMatrix(t *testing.T) {
 	p := newTestPool(t, Options{})
 	if err := p.AddMatrix("lap", testMatrix(t, 6, 6)); err == nil {
 		t.Fatal("duplicate matrix name accepted")
+	}
+}
+
+// A matrix too small to time keeps the reference kernels in the
+// single-vector classes on every build, however the probes fall; the
+// block classes are still tuned, and ForceKernel still pins them all.
+func TestPoolSmallMatrixKeepsReferenceSingleVectorKernels(t *testing.T) {
+	if got := tunedWidths(minTimedNNZ - 1); len(got) != 3 || got[0] != 2 || got[1] != 4 || got[2] != 8 {
+		t.Fatalf("tunedWidths below the floor = %v, want [2 4 8]", got)
+	}
+	if got := tunedWidths(minTimedNNZ); got != nil {
+		t.Fatalf("tunedWidths at the floor = %v, want nil (every class)", got)
+	}
+	for i := 0; i < 8; i++ { // a fresh pool each time: nothing memoized
+		p := newTestPool(t, Options{})
+		h, err := p.Acquire("lap", "s2d", 4)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if k := h.Kernel(); !strings.HasPrefix(k, "0:scalar 1:scalar 2:") {
+			t.Fatalf("build %d: kernels %q, want the single-vector classes on scalar", i, k)
+		}
+		h.Release()
+	}
+	p := newTestPool(t, Options{ForceKernel: "sorted"})
+	h, err := p.Acquire("lap", "s2d", 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer h.Release()
+	if k := h.Kernel(); k != "0:sorted 1:sorted 2:sorted 4:sorted 8:sorted" {
+		t.Fatalf("forced kernels %q", k)
 	}
 }

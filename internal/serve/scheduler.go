@@ -15,9 +15,12 @@ import (
 
 // scheduler coalesces concurrent single-vector multiply submissions into
 // SpMM batches on one engine. A single runner goroutine owns the engine
-// (Multiply calls must never overlap), draining the queues in flushes of
-// up to maxBatch requests; a flush fires as soon as maxBatch requests
-// are eligible, or when the oldest queued request has waited maxWait.
+// (Multiply calls must never overlap) and is work-conserving: the moment
+// the engine is free it flushes whatever is eligible, up to maxBatch
+// requests, so batches form from what queued while the previous flush
+// ran and a lone request costs its multiply. A positive maxWait is the
+// opt-in linger: a partial batch then ages up to maxWait for companions
+// before it flushes.
 //
 // Admission and ordering are per tenant. Each tenant has its own FIFO
 // bounded by its quota — a hot tenant filling its queue sheds its own
@@ -63,7 +66,7 @@ type scheduler struct {
 	// when the engine last became free (end of the previous flush): a
 	// request waits in "queue" while the engine serves earlier flushes
 	// (availT − enq) and in "assemble" from max(enq, availT) until the
-	// engine starts — the deliberate MaxWait aging plus batch take. The
+	// engine starts — batch take plus any opt-in MaxWait linger. The
 	// three stages sum exactly to the request's measured latency.
 	availT  time.Time
 	kernel  string            // engine's kernel selection, for flush spans
@@ -71,6 +74,19 @@ type scheduler struct {
 	// Cached per-engine stage histogram children (nil without instruments).
 	hQueue, hAssemble, hFlush *obs.Histogram
 	inst                      *instruments
+
+	// Flush scratch, owned by the runner goroutine and resliced per flush:
+	// the assembled batch, its latency samples, and the vector headers
+	// handed to the engine's multi-RHS entry points.
+	batch []*request
+	latMs []float64
+	xs    [][]float64
+	ys    [][]float64
+
+	// free is the bounded list of recycled output vectors (takeOutput,
+	// returnOutputs), under its own lock: handlers return while flushes run.
+	outMu sync.Mutex
+	free  [][]float64
 }
 
 // tenantQueue is one tenant's FIFO on one engine plus its stride state
@@ -83,12 +99,13 @@ type tenantQueue struct {
 	hQueue, hAssemble, hFlush *obs.Histogram
 }
 
-// request is one queued multiply. The caller owns x (and must not write
-// it until its submission returns); y is allocated by the flush that
-// serves it. A submission never returns while a flush holds the
-// request, so the engine is never reading x after the caller regains
-// control of it. transpose marks a y ← Aᵀx submission; a flush only
-// ever coalesces requests of one direction.
+// request is one queued multiply. The caller owns x, and y when it
+// brought one (and must not touch either until its submission returns);
+// a nil y is supplied by the flush that serves the request, which
+// overwrites y in full either way. A submission never returns while a
+// flush holds the request, so the engine is never reading x or writing y
+// after the caller regains control of them. transpose marks a y ← Aᵀx
+// submission; a flush only ever coalesces requests of one direction.
 type request struct {
 	x         []float64
 	y         []float64
@@ -114,6 +131,10 @@ func newScheduler(eng spmv.Multiplier, rows, cols int, opt Options, key EngineKe
 		tq:      make(map[*Tenant]*tenantQueue),
 		wake:    make(chan struct{}, 1),
 		availT:  time.Now(),
+		batch:   make([]*request, 0, opt.MaxBatch),
+		latMs:   make([]float64, 0, opt.MaxBatch),
+		xs:      make([][]float64, opt.MaxBatch),
+		ys:      make([][]float64, opt.MaxBatch),
 	}
 	if inst != nil {
 		s.hQueue, s.hAssemble, s.hFlush = inst.engineStages(key)
@@ -146,37 +167,65 @@ func (s *scheduler) submitT(ctx context.Context, x []float64) ([]float64, error)
 	return s.submitOne(ctx, s.defaultTenant(), x, true)
 }
 
-// submitOne is submitBatch for a single vector.
+// submitOne is submitBatch for a single vector into a scheduler-supplied
+// output.
 func (s *scheduler) submitOne(ctx context.Context, tn *Tenant, x []float64, transpose bool) ([]float64, error) {
-	ys, err := s.submitBatch(ctx, tn, [][]float64{x}, transpose)
+	ys, err := s.submitBatch(ctx, tn, [][]float64{x}, nil, transpose)
 	if err != nil {
 		return nil, err
 	}
 	return ys[0], nil
 }
 
+// outLen is the length of one output vector: rows forward, cols for the
+// transpose product.
+func (s *scheduler) outLen(transpose bool) int {
+	if transpose {
+		return s.cols
+	}
+	return s.rows
+}
+
 // submitBatch queues xs (one request per vector, all one direction) for
-// tenant tn and blocks until every result is back or ctx cancels. The
-// vectors enqueue atomically — admission control accepts or rejects the
-// whole call against the tenant's quota, so a multi-RHS request never
-// half-lands — but they flush independently, coalescing with whatever
-// else is queued. On error the results are invalid; the first error
-// (by submission order) is returned.
-func (s *scheduler) submitBatch(ctx context.Context, tn *Tenant, xs [][]float64, transpose bool) ([][]float64, error) {
+// tenant tn, blocks until every result is back or ctx cancels, and
+// returns the outputs. With ys non-nil the caller owns the outputs:
+// ys[i] ← A·xs[i], overwritten in full (the engines' output contract),
+// so a solver iterating on one y pays no allocation per multiply. With
+// ys nil the scheduler supplies them — but only inside the flush that
+// serves each request, so a call refused by validation or admission
+// control, or cancelled while queued, costs no output memory — from the
+// free list where it can; a caller done with them at once hands them
+// back through returnOutputs. The vectors enqueue atomically — admission
+// control accepts or rejects the whole call against the tenant's quota,
+// so a multi-RHS request never half-lands — but they flush
+// independently, coalescing with whatever else is queued. On error the
+// first error (by submission order) is returned and the contents of a
+// caller's ys are unspecified. Either way no flush holds any xs[i] or
+// ys[i] once submitBatch returns.
+func (s *scheduler) submitBatch(ctx context.Context, tn *Tenant, xs, ys [][]float64, transpose bool) ([][]float64, error) {
 	if tn == nil {
 		tn = s.defaultTenant()
 	}
-	want := s.cols
-	if transpose {
-		want = s.rows
-	}
+	want := s.outLen(!transpose)
 	for _, x := range xs {
 		if len(x) != want {
 			return nil, &DimensionError{Got: len(x), Want: want, What: "x"}
 		}
 	}
+	owned := ys != nil
+	if owned {
+		if len(ys) != len(xs) {
+			return nil, &DimensionError{Got: len(ys), Want: len(xs), What: "ys"}
+		}
+		out := s.outLen(transpose)
+		for _, y := range ys {
+			if len(y) != out {
+				return nil, &DimensionError{Got: len(y), Want: out, What: "y"}
+			}
+		}
+	}
 	if len(xs) == 0 {
-		return nil, nil
+		return ys, nil
 	}
 	// A request arriving already expired (server-side deadline, client
 	// cancel) never enqueues: rejecting here keeps a dead request from
@@ -195,6 +244,9 @@ func (s *scheduler) submitBatch(ctx context.Context, tn *Tenant, xs [][]float64,
 	reqs := make([]*request, len(xs))
 	for i, x := range xs {
 		reqs[i] = &request{x: x, tn: tn, transpose: transpose, done: make(chan struct{}), enq: now, sink: sink}
+		if owned {
+			reqs[i].y = ys[i]
+		}
 	}
 
 	s.mu.Lock()
@@ -232,18 +284,20 @@ func (s *scheduler) submitBatch(ctx context.Context, tn *Tenant, xs [][]float64,
 		s.wakeRunner()
 	}
 
-	ys := make([][]float64, len(reqs))
+	if !owned {
+		ys = make([][]float64, len(reqs))
+	}
 	var firstErr error
 	for i, req := range reqs {
 		select {
 		case <-req.done:
 		case <-ctx.Done():
 			// Still queued → remove it ourselves: it never widens a batch
-			// and the caller gets its x slice back immediately. Already
-			// claimed by a flush → the engine is reading x right now, so
-			// wait the flush out (one multiply, bounded) and take its
-			// result; returning early would hand the caller a slice the
-			// engine workers are still reading.
+			// and the caller gets its x and y slices back immediately.
+			// Already claimed by a flush → the engine is reading x and
+			// writing y right now, so wait the flush out (one multiply,
+			// bounded) and take its result; returning early would hand
+			// the caller slices the engine workers are still using.
 			if s.dequeue(req) {
 				s.m.cancel()
 				req.err = ctx.Err()
@@ -257,9 +311,52 @@ func (s *scheduler) submitBatch(ctx context.Context, tn *Tenant, xs [][]float64,
 		}
 	}
 	if firstErr != nil {
+		if !owned {
+			s.returnOutputs(ys) // whatever the flushes that did run supplied
+		}
 		return nil, firstErr
 	}
 	return ys, nil
+}
+
+// maxFreeOutputs bounds the output free list: enough for one
+// default-width flush, few enough that an idle engine pins at most 8
+// vectors.
+const maxFreeOutputs = 8
+
+// takeOutput supplies the output vector for one request that brought
+// none, recycled from the free list when its top fits. Only a flush
+// calls it, so output memory is spent on admitted work alone. Buffers
+// come back dirty; the flush overwrites them in full.
+func (s *scheduler) takeOutput(size int) []float64 {
+	var y []float64
+	s.outMu.Lock()
+	if n := len(s.free); n > 0 {
+		y, s.free[n-1] = s.free[n-1], nil
+		s.free = s.free[:n-1]
+	}
+	s.outMu.Unlock()
+	// On a rectangular matrix the other direction's buffers are the wrong
+	// length; they fall to the collector rather than clog the list.
+	if len(y) != size {
+		y = make([]float64, size)
+	}
+	return y
+}
+
+// returnOutputs hands back scheduler-supplied outputs nothing reads any
+// more — what lets a request path that is done with its results the
+// moment the response is written (the HTTP handler) reuse a handful of
+// buffers instead of allocating and zeroing rows×8 bytes per vector.
+// Beyond the bound they are left to the collector.
+func (s *scheduler) returnOutputs(ys [][]float64) {
+	s.outMu.Lock()
+	for _, y := range ys {
+		if y != nil && len(s.free) < maxFreeOutputs {
+			s.free = append(s.free, y)
+		}
+	}
+	s.outMu.Unlock()
 }
 
 // queueForLocked finds or creates tn's queue. A queue (re)activating
@@ -321,8 +418,9 @@ func (s *scheduler) wakeRunner() {
 	}
 }
 
-// run is the engine-owning loop: park while the queues are empty, honor
-// the maxWait window while a partial batch ages, flush otherwise.
+// run is the engine-owning loop: park while the queues are empty, flush
+// what is eligible otherwise. Only under an opt-in MaxWait does a
+// partial batch age first.
 func (s *scheduler) run() {
 	defer s.wg.Done()
 	timer := time.NewTimer(time.Hour)
@@ -338,7 +436,7 @@ func (s *scheduler) run() {
 		// now (homogeneous in direction), not the raw queue total: a full
 		// queue of mixed directions must not zero the wait, or a lone
 		// head request would flush sub-width with no window.
-		if n > 0 && s.eligibleWidthLocked() < s.opt.MaxBatch && !closed {
+		if n > 0 && !closed && s.opt.MaxWait > 0 && s.eligibleWidthLocked() < s.opt.MaxBatch {
 			wait = s.opt.MaxWait - time.Since(s.oldest)
 		}
 		var batch []*request
@@ -431,14 +529,14 @@ func (s *scheduler) popLocked(q *tenantQueue) *request {
 // from the lowest-pass queue whose head matches the first request's
 // direction. A batch is homogeneous in direction, so forward and
 // transpose traffic each flush as their own SpMM; under contention each
-// tenant's share of the batch converges to its weight share.
+// tenant's share of the batch converges to its weight share. The
+// returned slice is the runner's scratch, valid until the next take.
 func (s *scheduler) takeBatchLocked() []*request {
 	first := s.minPassLocked(nil)
 	if first == nil {
 		return nil
 	}
-	batch := make([]*request, 0, s.opt.MaxBatch)
-	batch = append(batch, s.popLocked(first))
+	batch := append(s.batch[:0], s.popLocked(first))
 	d := batch[0].transpose
 	for len(batch) < s.opt.MaxBatch {
 		q := s.minPassLocked(&d)
@@ -473,7 +571,7 @@ func (s *scheduler) flush(batch []*request) {
 	}
 	engOK := err == nil && !ft.engStart.IsZero()
 
-	latMs := make([]float64, 0, len(batch))
+	latMs := s.latMs[:0]
 	for _, r := range batch {
 		r.err = err
 		latMs = append(latMs, msSince(r.enq))
@@ -482,8 +580,8 @@ func (s *scheduler) flush(batch []*request) {
 		}
 		if engOK {
 			// queue: the engine was busy with earlier flushes; assemble:
-			// MaxWait aging plus batch take and buffer prep; flush: the
-			// engine multiply. The three sum to engEnd − enq exactly.
+			// batch take and output prep (plus any MaxWait linger); flush:
+			// the engine multiply. The three sum to engEnd − enq exactly.
 			queue := avail.Sub(r.enq)
 			if queue < 0 {
 				queue = 0
@@ -512,6 +610,11 @@ func (s *scheduler) flush(batch []*request) {
 	default:
 		s.m.recordBatch(len(batch), latMs)
 	}
+	// The submitters own their vectors again: drop the scratch's
+	// references so an idle engine pins nobody's buffers.
+	clear(batch)
+	clear(s.xs)
+	clear(s.ys)
 }
 
 // recordFault converts an engine fault into the typed error every caught
@@ -578,12 +681,12 @@ func (s *scheduler) multiply(batch []*request, ft *flushTiming) (err error, faul
 		time.Sleep(s.opt.FlushDelay)
 	}
 	transpose := batch[0].transpose
-	outLen := s.rows
-	if transpose {
-		outLen = s.cols
+	for _, r := range batch {
+		if r.y == nil {
+			r.y = s.takeOutput(s.outLen(transpose))
+		}
 	}
 	if len(batch) == 1 {
-		batch[0].y = make([]float64, outLen)
 		ft.engStart = time.Now()
 		if transpose {
 			err = s.eng.MultiplyTranspose(batch[0].x, batch[0].y)
@@ -592,10 +695,8 @@ func (s *scheduler) multiply(batch []*request, ft *flushTiming) (err error, faul
 		}
 		ft.engEnd = time.Now()
 	} else {
-		X := make([][]float64, len(batch))
-		Y := make([][]float64, len(batch))
+		X, Y := s.xs[:len(batch)], s.ys[:len(batch)]
 		for i, r := range batch {
-			r.y = make([]float64, outLen)
 			X[i] = r.x
 			Y[i] = r.y
 		}
@@ -660,4 +761,7 @@ func (s *scheduler) close() {
 	s.wakeRunner()
 	s.wg.Wait()
 	s.eng.Close()
+	s.outMu.Lock()
+	s.free = nil
+	s.outMu.Unlock()
 }

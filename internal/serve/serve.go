@@ -10,12 +10,18 @@
 //     reference-counted by Acquire/Release, and idle engines evict LRU
 //     when the pool exceeds its cap — each engine keeps its K persistent
 //     workers parked between requests, so a cache hit costs nothing.
-//   - scheduler: a request-coalescing batcher per engine. Concurrent
-//     Multiply submissions queue and flush as one MultiplyBlock call
-//     when either MaxBatch vectors accumulate or the MaxWait window
-//     expires; results demultiplex back to callers bit-identical to a
-//     solo Multiply (the block kernels accumulate each column in the
-//     scalar kernels' exact nonzero order).
+//   - scheduler: a work-conserving request-coalescing batcher per
+//     engine. The moment the engine is free the runner flushes whatever
+//     is queued, up to MaxBatch vectors, as one MultiplyBlock call —
+//     batches form from what arrived while the previous flush ran, and
+//     a lone request costs its multiply (MaxWait > 0 opts a partial
+//     batch into lingering for companions first). A flush writes
+//     into the outputs its requests name — a solve's own y — or, for
+//     requests that name none, into vectors it takes from a small
+//     per-engine free list the HTTP path hands them back to. Results
+//     demultiplex back to callers bit-identical to a solo Multiply (the
+//     block kernels accumulate each column in the scalar kernels' exact
+//     nonzero order).
 //   - admission control: per-tenant bounded queues on every engine with
 //     typed overload errors (*OverloadError, per-tenant 429 over HTTP),
 //     weighted-fair flush ordering across tenants (stride scheduling),
@@ -48,8 +54,16 @@ type Options struct {
 	// MaxBatch is the widest SpMM batch one flush may coalesce
 	// (default 8).
 	MaxBatch int
-	// MaxWait is how long the first queued request may wait for
-	// companions before the batch flushes anyway (default 200µs).
+	// MaxWait is the opt-in linger: how long a partial batch may age for
+	// companions before it flushes anyway. The default, 0, is
+	// work-conserving — the runner flushes whatever is queued the moment
+	// the engine is free, and batches form from what arrived while the
+	// previous flush ran. No measured workload gains from a linger: even
+	// two closed-loop clients on an engine-bound matrix, who could share
+	// one wider SpMM, served more requests per second without it
+	// (DESIGN.md, scheduler section). A value under a millisecond is not
+	// what it says — the Go runtime rounds a shorter timer up to ≥1 ms
+	// whenever every P is idle, the state a lightly loaded server is in.
 	MaxWait time.Duration
 	// MaxQueue bounds the per-engine queue depth; submissions beyond it
 	// fail fast with *OverloadError (default 1024).
@@ -96,20 +110,18 @@ type Options struct {
 	Registry *obs.Registry
 	// ForceKernel names one spmv kernel backend to install on every
 	// pooled engine instead of autotuning ("scalar" pins the reference
-	// kernels). Empty autotunes each engine at build time; the verdicts
-	// memoize in the pool's pipeline, so a rebuilt engine reinstalls the
-	// original selection without re-probing. The relaxed backend is never
-	// admitted here: serving results are contractually bit-identical to a
-	// solo engine.
+	// kernels). Empty autotunes each engine at build time (the
+	// single-vector classes only on matrices large enough to time, see
+	// minTimedNNZ); the verdicts memoize in the pool's pipeline, so a
+	// rebuilt engine reinstalls the original selection without
+	// re-probing. The relaxed backend is never admitted here: serving
+	// results are contractually bit-identical to a solo engine.
 	ForceKernel string
 }
 
 func (o Options) withDefaults() Options {
 	if o.MaxBatch <= 0 {
 		o.MaxBatch = 8
-	}
-	if o.MaxWait <= 0 {
-		o.MaxWait = 200 * time.Microsecond
 	}
 	if o.MaxQueue <= 0 {
 		o.MaxQueue = 1024

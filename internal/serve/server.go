@@ -185,9 +185,46 @@ func encodingOf(r *http.Request) string {
 }
 
 // readBody drains the request body through MaxBytesReader; the caller
-// routes errors through writeError (a tripped limit maps to 413).
+// routes errors through writeError (a tripped limit maps to 413). A
+// declared Content-Length sizes the buffer up front — one read into one
+// allocation, where io.ReadAll grows through a dozen doublings and
+// copies — and a declared length over the limit is refused before a
+// byte is read.
 func readBody(w http.ResponseWriter, r *http.Request, limit int64) ([]byte, error) {
-	return io.ReadAll(http.MaxBytesReader(w, r.Body, limit))
+	if r.ContentLength > limit {
+		return nil, &http.MaxBytesError{Limit: limit}
+	}
+	body := http.MaxBytesReader(w, r.Body, limit)
+	// Chunked bodies have no length until EOF, and a header is only a
+	// claim: past maxPresize the buffer grows as the bytes really arrive.
+	if r.ContentLength < 0 || r.ContentLength > maxPresize {
+		return io.ReadAll(body)
+	}
+	buf := make([]byte, r.ContentLength)
+	if _, err := io.ReadFull(body, buf); err != nil {
+		return nil, fmt.Errorf("serve: reading request body: %w", err)
+	}
+	return buf, nil
+}
+
+// maxPresize is the largest declared Content-Length readBody allocates
+// on the header's word alone (a 160k-row nrhs=8 frame is 10 MB).
+const maxPresize = 64 << 20
+
+// writeFrame streams f as the 200 response — header and names, then each
+// vector's bytes straight from where they lie — with Content-Length set
+// so net/http does not chunk. It returns the bytes written.
+func writeFrame(w http.ResponseWriter, f *wire.Frame) int {
+	w.Header().Set("Content-Type", wire.ContentType)
+	w.Header().Set("Content-Length", strconv.Itoa(f.Size()))
+	n, err := wire.WriteTo(w, f)
+	var bad *wire.FormatError
+	if errors.As(err, &bad) {
+		// Refused before a byte left: the envelope can still go out.
+		w.Header().Del("Content-Length")
+		writeError(w, err)
+	}
+	return int(n)
 }
 
 // engineRequest is the addressing triple shared by multiply and solve.
@@ -300,21 +337,15 @@ func (s *Server) handleMultiply(w http.ResponseWriter, r *http.Request, tn *Tena
 		writeError(w, err)
 		return
 	}
-	var out []byte
+	defer h.recycle(ys) // once the response no longer reads them
+	var sent int
 	if enc == EncodingBinary {
 		key := h.Key()
-		out, err = wire.Append(nil, &wire.Frame{
+		sent = writeFrame(w, &wire.Frame{
 			Op: wire.OpMultiplyResp, Matrix: key.Matrix, Method: key.Method, K: key.K,
 			Transpose: req.Transpose, Vectors: ys,
 		})
-		if err != nil {
-			writeError(w, err)
-			return
-		}
 		rt.mark(StageEncode)
-		w.Header().Set("Content-Type", wire.ContentType)
-		w.WriteHeader(http.StatusOK)
-		_, _ = w.Write(out)
 	} else {
 		resp := multiplyResponse{
 			Method: h.Key().Method, K: h.Key().K, Schedule: h.Schedule(), ElapsedMs: msSince(t0),
@@ -334,13 +365,13 @@ func (s *Server) handleMultiply(w http.ResponseWriter, r *http.Request, tn *Tena
 			}
 			rt.mark(StageEncode)
 			resp.Timings = rt.block()
-			out = marshalJSON(w, http.StatusOK, resp)
+			sent = len(marshalJSON(w, http.StatusOK, resp))
 		} else {
-			out = marshalJSON(w, http.StatusOK, resp)
+			sent = len(marshalJSON(w, http.StatusOK, resp))
 			rt.mark(StageEncode)
 		}
 	}
-	tn.CountBytes(enc, len(body), len(out))
+	tn.CountBytes(enc, len(body), sent)
 }
 
 type solveRequest struct {
@@ -463,23 +494,12 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request, tn *Tenant,
 	t0 := time.Now()
 	ctx = withStageSink(ctx, rt.sink)
 	var mulErr error
+	// The engine writes each product straight into the solver's own y.
 	lift := func(transpose bool) solver.MulVec {
 		return func(x, y []float64) {
-			if mulErr != nil {
-				return
+			if mulErr == nil {
+				mulErr = h.multiplyInto(ctx, tn, x, y, transpose)
 			}
-			var res []float64
-			var err error
-			if transpose {
-				res, err = h.MultiplyTransposeFor(ctx, tn, x)
-			} else {
-				res, err = h.MultiplyFor(ctx, tn, x)
-			}
-			if err != nil {
-				mulErr = err
-				return
-			}
-			copy(y, res)
 		}
 	}
 	mul := lift(false)
@@ -521,23 +541,16 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request, tn *Tenant,
 			fmt.Sprintf("serve: solve: %v", err))
 		return
 	}
-	var out []byte
+	var sent int
 	if enc == EncodingBinary {
 		key := h.Key()
 		code, _ := wire.SolverCode(solverName) // validated above
-		out, err = wire.Append(nil, &wire.Frame{
+		sent = writeFrame(w, &wire.Frame{
 			Op: wire.OpSolveResp, Matrix: key.Matrix, Method: key.Method, K: key.K,
 			Vectors: [][]float64{x}, Solver: code,
 			Tol: res.Residual, MaxIter: res.Iterations, Converged: res.Converged,
 		})
-		if err != nil {
-			writeError(w, err)
-			return
-		}
 		rt.mark(StageEncode)
-		w.Header().Set("Content-Type", wire.ContentType)
-		w.WriteHeader(http.StatusOK)
-		_, _ = w.Write(out)
 	} else {
 		resp := solveResponse{
 			X: x, Iterations: res.Iterations, Residual: res.Residual, Converged: res.Converged,
@@ -550,13 +563,13 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request, tn *Tenant,
 			}
 			rt.mark(StageEncode)
 			resp.Timings = rt.block()
-			out = marshalJSON(w, http.StatusOK, resp)
+			sent = len(marshalJSON(w, http.StatusOK, resp))
 		} else {
-			out = marshalJSON(w, http.StatusOK, resp)
+			sent = len(marshalJSON(w, http.StatusOK, resp))
 			rt.mark(StageEncode)
 		}
 	}
-	tn.CountBytes(enc, len(body), len(out))
+	tn.CountBytes(enc, len(body), sent)
 }
 
 type methodsResponse struct {

@@ -3,6 +3,8 @@ package serve
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
+	"io"
 	"math"
 	"math/rand"
 	"net/http"
@@ -16,7 +18,12 @@ import (
 
 func newTestServer(t *testing.T) (*httptest.Server, *Pool) {
 	t.Helper()
-	p := NewPool(Options{Seed: 1})
+	return newTestServerOpt(t, Options{Seed: 1})
+}
+
+func newTestServerOpt(t *testing.T, opt Options) (*httptest.Server, *Pool) {
+	t.Helper()
+	p := NewPool(opt)
 	t.Cleanup(p.Close)
 	if err := p.AddMatrix("lap", testMatrix(t, 14, 14)); err != nil {
 		t.Fatal(err)
@@ -402,5 +409,63 @@ func TestHTTPSolveUnknownSolver(t *testing.T) {
 	})
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("status %d, want 400 (%s)", resp.StatusCode, body)
+	}
+}
+
+// countingReader reports how many bytes the handler pulled off the body.
+type countingReader struct {
+	r    io.Reader
+	read int
+}
+
+func (c *countingReader) Read(p []byte) (int, error) {
+	n, err := c.r.Read(p)
+	c.read += n
+	return n, err
+}
+
+// TestReadBody pins the body reader's three regimes: a declared length
+// is read once into a buffer of exactly that size; a declared length
+// over the limit is refused before a byte is read; an undeclared
+// (chunked) length streams through the same limit.
+func TestReadBody(t *testing.T) {
+	payload := bytes.Repeat([]byte("0123456789abcdef"), 64) // 1 KiB
+	for _, tc := range []struct {
+		name     string
+		declared int64 // Content-Length; -1 is chunked
+		limit    int64
+		wantErr  bool
+		tooLarge bool
+		wantRead int
+	}{
+		{name: "declared", declared: 1024, limit: 4096, wantRead: 1024},
+		{name: "declared at the limit", declared: 1024, limit: 1024, wantRead: 1024},
+		{name: "declared over the limit", declared: 1024, limit: 1023, wantErr: true, tooLarge: true, wantRead: 0},
+		{name: "declared but short", declared: 2048, limit: 4096, wantErr: true, wantRead: 1024},
+		{name: "chunked", declared: -1, limit: 4096, wantRead: 1024},
+		{name: "chunked over the limit", declared: -1, limit: 1000, wantErr: true, tooLarge: true, wantRead: 1001},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			body := &countingReader{r: bytes.NewReader(payload)}
+			r := httptest.NewRequest("POST", "/v1/multiply", body)
+			r.ContentLength = tc.declared
+			got, err := readBody(httptest.NewRecorder(), r, tc.limit)
+			var tooLarge *http.MaxBytesError
+			if (err != nil) != tc.wantErr || errors.As(err, &tooLarge) != tc.tooLarge {
+				t.Fatalf("err = %v; want error %v, *MaxBytesError %v", err, tc.wantErr, tc.tooLarge)
+			}
+			if body.read != tc.wantRead {
+				t.Fatalf("read %d bytes off the body, want %d", body.read, tc.wantRead)
+			}
+			if err != nil {
+				return
+			}
+			if !bytes.Equal(got, payload) {
+				t.Fatalf("body differs: %d bytes, want %d", len(got), len(payload))
+			}
+			if tc.declared >= 0 && cap(got) != len(payload) {
+				t.Fatalf("declared length %d read into a %d-byte buffer: presized reads do not over-allocate", tc.declared, cap(got))
+			}
+		})
 	}
 }

@@ -201,14 +201,14 @@ func TestSubmitBatchAtomicAdmission(t *testing.T) {
 		xs[i] = make([]float64, a.Cols)
 	}
 	var ov *OverloadError
-	if _, err := s.submitBatch(context.Background(), nil, xs, false); !errors.As(err, &ov) {
+	if _, err := s.submitBatch(context.Background(), nil, xs, nil, false); !errors.As(err, &ov) {
 		t.Fatalf("oversized batch: %v, want *OverloadError", err)
 	}
 	if got := s.metrics().QueueDepth; got != 0 {
 		t.Fatalf("queue depth %d after atomic rejection, want 0", got)
 	}
 	// At the quota exactly, the batch admits and serves.
-	ys, err := s.submitBatch(context.Background(), nil, xs[:4], false)
+	ys, err := s.submitBatch(context.Background(), nil, xs[:4], nil, false)
 	if err != nil || len(ys) != 4 {
 		t.Fatalf("full-quota batch: %d results, err %v", len(ys), err)
 	}

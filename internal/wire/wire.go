@@ -43,6 +43,7 @@ package wire
 import (
 	"encoding/binary"
 	"fmt"
+	"io"
 	"math"
 	"unsafe"
 )
@@ -183,28 +184,29 @@ func payloadOffset(matrixLen, methodLen int) int {
 	return (headerSize + matrixLen + methodLen + 7) &^ 7
 }
 
-// Append encodes f onto dst and returns the extended slice. Every
-// vector must share one length; names must fit MaxNameLen.
-func Append(dst []byte, f *Frame) ([]byte, error) {
-	n := 0
+// check validates f for encoding and returns the shared vector length.
+func (f *Frame) check() (n int, err error) {
 	for i, v := range f.Vectors {
 		if i == 0 {
 			n = len(v)
 		} else if len(v) != n {
-			return nil, badFrame("vector %d has length %d, vector 0 has %d", i, len(v), n)
+			return 0, badFrame("vector %d has length %d, vector 0 has %d", i, len(v), n)
 		}
 	}
 	if len(f.Matrix) > MaxNameLen || len(f.Method) > MaxNameLen {
-		return nil, badFrame("name longer than %d bytes", MaxNameLen)
+		return 0, badFrame("name longer than %d bytes", MaxNameLen)
 	}
 	if len(f.Vectors) > MaxVectors {
-		return nil, badFrame("%d vectors exceeds the %d per-frame bound", len(f.Vectors), MaxVectors)
+		return 0, badFrame("%d vectors exceeds the %d per-frame bound", len(f.Vectors), MaxVectors)
 	}
-	total := f.Size()
-	off := len(dst)
-	dst = append(dst, make([]byte, total)...)
-	b := dst[off:]
+	return n, nil
+}
 
+// putHead encodes everything before the payload — fixed header, names —
+// into b, which must be zeroed and payloadOffset bytes long (the zero
+// tail is the alignment padding). n is the vector length, total the
+// frame length.
+func (f *Frame) putHead(b []byte, n, total int) {
 	le := binary.LittleEndian
 	le.PutUint32(b[0:], Magic)
 	b[4] = Version
@@ -229,21 +231,83 @@ func Append(dst []byte, f *Frame) ([]byte, error) {
 	le.PutUint32(b[44:], uint32(f.DeadlineMs))
 	copy(b[headerSize:], f.Matrix)
 	copy(b[headerSize+len(f.Matrix):], f.Method)
+}
 
+// floatBytes views v's storage as bytes. Only meaningful as wire data on
+// a little-endian host.
+func floatBytes(v []float64) []byte {
+	return unsafe.Slice((*byte)(unsafe.Pointer(&v[0])), len(v)*8)
+}
+
+// Append encodes f onto dst and returns the extended slice. Every
+// vector must share one length; names must fit MaxNameLen.
+func Append(dst []byte, f *Frame) ([]byte, error) {
+	n, err := f.check()
+	if err != nil {
+		return nil, err
+	}
+	total := f.Size()
+	off := len(dst)
+	dst = append(dst, make([]byte, total)...)
+	b := dst[off:]
 	p := payloadOffset(len(f.Matrix), len(f.Method))
+	f.putHead(b[:p], n, total)
 	for _, v := range f.Vectors {
 		if nativeLittle && len(v) > 0 {
-			src := unsafe.Slice((*byte)(unsafe.Pointer(&v[0])), len(v)*8)
-			copy(b[p:], src)
-			p += len(v) * 8
+			p += copy(b[p:], floatBytes(v))
 			continue
 		}
 		for _, x := range v {
-			le.PutUint64(b[p:], math.Float64bits(x))
+			binary.LittleEndian.PutUint64(b[p:], math.Float64bits(x))
 			p += 8
 		}
 	}
 	return dst, nil
+}
+
+// WriteTo encodes f onto w — byte for byte what Append produces — and
+// returns the bytes written. The payload is never assembled: after the
+// header and names, each vector's storage is handed to w in place on
+// little-endian hosts (converted through a small buffer elsewhere), so
+// a response costs no copy of its vectors. A frame that fails
+// validation is refused with a *FormatError before anything is
+// written; any other error is w's. The caller must keep the vectors
+// unchanged until WriteTo returns.
+func WriteTo(w io.Writer, f *Frame) (int64, error) {
+	n, err := f.check()
+	if err != nil {
+		return 0, err
+	}
+	head := make([]byte, payloadOffset(len(f.Matrix), len(f.Method)))
+	f.putHead(head, n, f.Size())
+	m, err := w.Write(head)
+	written := int64(m)
+	if err != nil || n == 0 {
+		return written, err
+	}
+	var conv []byte // byte-swapping hosts only
+	for _, v := range f.Vectors {
+		for len(v) > 0 {
+			chunk, rest := floatBytes(v), v[:0]
+			if !nativeLittle {
+				if conv == nil {
+					conv = make([]byte, 4096)
+				}
+				k := min(len(v), len(conv)/8)
+				for i, x := range v[:k] {
+					binary.LittleEndian.PutUint64(conv[i*8:], math.Float64bits(x))
+				}
+				chunk, rest = conv[:k*8], v[k:]
+			}
+			m, err = w.Write(chunk)
+			written += int64(m)
+			if err != nil {
+				return written, err
+			}
+			v = rest
+		}
+	}
+	return written, nil
 }
 
 // Decode parses one frame from buf, which must contain the frame

@@ -1,7 +1,9 @@
 package wire
 
 import (
+	"bytes"
 	"encoding/binary"
+	"errors"
 	"math"
 	"math/rand"
 	"testing"
@@ -92,14 +94,18 @@ func TestRoundTrip(t *testing.T) {
 	}
 }
 
-// TestGoldenLayout pins the byte layout so the format cannot drift
-// silently: any change to the header is a wire-protocol version bump.
-func TestGoldenLayout(t *testing.T) {
-	f := &Frame{
+// goldenFrame is the frame whose bytes TestGoldenLayout spells out.
+func goldenFrame() *Frame {
+	return &Frame{
 		Op: OpMultiplyReq, Transpose: true, Matrix: "web", Method: "s2d",
 		K: 4, Vectors: [][]float64{{1.0}},
 	}
-	buf, err := Append(nil, f)
+}
+
+// TestGoldenLayout pins the byte layout so the format cannot drift
+// silently: any change to the header is a wire-protocol version bump.
+func TestGoldenLayout(t *testing.T) {
+	buf, err := Append(nil, goldenFrame())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -240,16 +246,9 @@ func TestZeroCopyAliasing(t *testing.T) {
 // panic Decode, and frames that do decode must re-encode to the same
 // bytes modulo payload aliasing.
 func FuzzDecode(f *testing.F) {
-	r := rand.New(rand.NewSource(3))
-	for i := 0; i < 8; i++ {
-		buf, err := Append(nil, randFrame(r))
-		if err != nil {
-			f.Fatal(err)
-		}
-		f.Add(buf)
+	for _, seed := range fuzzSeeds(f) {
+		f.Add(seed)
 	}
-	f.Add([]byte{})
-	f.Add([]byte("SpMV"))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		fr, err := Decode(data)
 		if err != nil {
@@ -267,7 +266,128 @@ func FuzzDecode(f *testing.F) {
 				t.Fatalf("re-encode differs at byte %d: %#x vs %#x", i, buf[i], data[i])
 			}
 		}
+		var streamed bytes.Buffer
+		if _, err := WriteTo(&streamed, fr); err != nil || !bytes.Equal(streamed.Bytes(), data) {
+			t.Fatalf("WriteTo differs from the original frame (err %v)", err)
+		}
 	})
+}
+
+// fuzzSeeds is FuzzDecode's seed corpus: eight random valid frames and
+// two stubs that must not decode.
+func fuzzSeeds(tb testing.TB) [][]byte {
+	r := rand.New(rand.NewSource(3))
+	var seeds [][]byte
+	for i := 0; i < 8; i++ {
+		buf, err := Append(nil, randFrame(r))
+		if err != nil {
+			tb.Fatal(err)
+		}
+		seeds = append(seeds, buf)
+	}
+	return append(seeds, []byte{}, []byte("SpMV"))
+}
+
+// failAfter accepts limit bytes, then fails: the write that crosses the
+// limit is short and returns errSink.
+type failAfter struct {
+	buf   bytes.Buffer
+	limit int
+}
+
+var errSink = errors.New("sink full")
+
+func (w *failAfter) Write(p []byte) (int, error) {
+	if room := w.limit - w.buf.Len(); len(p) > room {
+		w.buf.Write(p[:room])
+		return room, errSink
+	}
+	return w.buf.Write(p)
+}
+
+// TestWriteToMatchesAppend pins the streaming encoder to the slice
+// encoder: for the golden frame, every decodable seed of FuzzDecode's
+// corpus, and the edge shapes (no vectors, empty vectors, nrhs at
+// MaxVectors), WriteTo emits byte for byte what Append returns, on the
+// in-place path and on the byte-swapping one, and the bytes decode back
+// to the frame. A writer that fails part-way gets a prefix of those
+// bytes and its error back with the exact count.
+func TestWriteToMatchesAppend(t *testing.T) {
+	wide := &Frame{Op: OpMultiplyResp, Matrix: "wide", Method: "1d", K: 2}
+	for i := 0; i < MaxVectors; i++ {
+		wide.Vectors = append(wide.Vectors, []float64{float64(i), -0.5, math.Inf(1)})
+	}
+	frames := map[string]*Frame{
+		"golden":        goldenFrame(),
+		"no-vectors":    {Op: OpSolveReq, Matrix: "m", Solver: SolverCG, Tol: 1e-9, MaxIter: 7},
+		"empty-vectors": {Op: OpMultiplyResp, Matrix: "abcde", Method: "s2d-b", Vectors: [][]float64{{}, {}}},
+		"max-vectors":   wide,
+		"aligned-names": {Op: OpSolveResp, Converged: true, Matrix: "four", Method: "four", Vectors: [][]float64{{1, 2, 3}}},
+	}
+	for i, seed := range fuzzSeeds(t) {
+		if f, err := Decode(seed); err == nil {
+			frames["fuzz-seed-"+string(rune('0'+i))] = f
+		}
+	}
+	if len(frames) != 5+8 {
+		t.Fatalf("%d frames, want the 5 named ones and 8 decodable fuzz seeds", len(frames))
+	}
+
+	defer func(v bool) { nativeLittle = v }(nativeLittle)
+	first := map[string][]byte{} // Append's bytes on the first pass: both paths must produce them
+	for _, little := range []bool{nativeLittle, false} {
+		nativeLittle = little
+		for name, f := range frames {
+			want, err := Append(nil, f)
+			if err != nil {
+				t.Fatalf("%s: Append: %v", name, err)
+			}
+			if first[name] == nil {
+				first[name] = want
+			} else if !bytes.Equal(first[name], want) {
+				t.Fatalf("%s: Append's in-place and byte-swapping paths disagree", name)
+			}
+			var got bytes.Buffer
+			n, err := WriteTo(&got, f)
+			if err != nil || n != int64(len(want)) || n != int64(f.Size()) {
+				t.Fatalf("%s (little=%v): WriteTo = %d, %v; want %d bytes (Size %d)", name, little, n, err, len(want), f.Size())
+			}
+			if !bytes.Equal(got.Bytes(), want) {
+				t.Fatalf("%s (little=%v): WriteTo and Append disagree", name, little)
+			}
+			back, err := Decode(got.Bytes())
+			if err != nil {
+				t.Fatalf("%s: decode of WriteTo output: %v", name, err)
+			}
+			frameEqual(t, f, back)
+
+			// Fail at every boundary class: nothing accepted, inside the
+			// header, inside the names/padding, first payload byte, inside
+			// the payload, and one byte short of the end.
+			p := payloadOffset(len(f.Matrix), len(f.Method))
+			for _, limit := range []int{0, 1, headerSize, p - 1, p, p + 5, len(want) - 1} {
+				if limit >= len(want) {
+					continue
+				}
+				w := &failAfter{limit: limit}
+				n, err := WriteTo(w, f)
+				if !errors.Is(err, errSink) || n != int64(limit) {
+					t.Fatalf("%s (little=%v): failing writer at %d: WriteTo = %d, %v", name, little, limit, n, err)
+				}
+				if !bytes.Equal(w.buf.Bytes(), want[:limit]) {
+					t.Fatalf("%s (little=%v): bytes before the failure at %d are not a prefix", name, little, limit)
+				}
+			}
+		}
+	}
+
+	// A frame Append refuses, WriteTo refuses before writing anything.
+	ragged := &Frame{Op: OpMultiplyResp, Matrix: "m", Vectors: [][]float64{{1, 2}, {3}}}
+	var sink bytes.Buffer
+	var bad *FormatError
+	if n, err := WriteTo(&sink, ragged); !errors.As(err, &bad) || n != 0 || sink.Len() != 0 {
+		t.Fatalf("ragged frame: WriteTo = %d, %v with %d bytes out; want *FormatError and nothing written", n, err, sink.Len())
+	}
 }
 
 func BenchmarkDecode(b *testing.B) {
