@@ -10,7 +10,8 @@
 // (internal/baselines), the method registry and memoizing build pipeline
 // through which every consumer constructs partitions (internal/method), a
 // message-passing SpMV engine that compiles each schedule into an
-// allocation-free execution plan run by persistent workers, serving
+// allocation-free execution plan of steps over K virtual processors, run
+// by the caller and at most GOMAXPROCS-1 parked helpers, serving
 // single-vector Multiply, batched multi-RHS MultiplyBlock/MultiplyMulti
 // with one packet per peer per phase at any width, and the transpose
 // product MultiplyTranspose (plus its blocked twins), which reuses each

@@ -419,6 +419,12 @@ func DrainCheck(ctx context.Context, cfg ChaosConfig, rep *ChaosReport, inFlight
 	}
 
 	time.Sleep(20 * time.Millisecond) // let the wave get in flight
+	// A request of the wave that was handed a connection another one had
+	// just finished with leaves the connection it had started dialling
+	// unused in the client's pool. The server has read nothing on it yet,
+	// and http.Server.Shutdown waits five seconds before it counts such a
+	// connection idle — so hang those up first.
+	cfg.Client.CloseIdleConnections()
 	t0 := time.Now()
 	shutdownErr := shutdown()
 	rep.DrainSec = time.Since(t0).Seconds()

@@ -578,6 +578,18 @@ func (s *scheduler) flush(batch []*request) {
 		if err == nil {
 			r.tn.requests.Add(1)
 		}
+	}
+	// The batch is in the metrics before anybody is released: a caller
+	// that holds its answer finds itself counted.
+	switch {
+	case fault:
+		s.m.fault(len(batch))
+	case err != nil:
+		s.m.fail(len(batch))
+	default:
+		s.m.recordBatch(len(batch), latMs)
+	}
+	for _, r := range batch {
 		if engOK {
 			// queue: the engine was busy with earlier flushes; assemble:
 			// batch take and output prep (plus any MaxWait linger); flush:
@@ -601,14 +613,6 @@ func (s *scheduler) flush(batch []*request) {
 			}
 		}
 		close(r.done)
-	}
-	switch {
-	case fault:
-		s.m.fault(len(batch))
-	case err != nil:
-		s.m.fail(len(batch))
-	default:
-		s.m.recordBatch(len(batch), latMs)
 	}
 	// The submitters own their vectors again: drop the scratch's
 	// references so an idle engine pins nobody's buffers.

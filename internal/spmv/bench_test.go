@@ -8,6 +8,7 @@ import (
 	"repro/internal/baselines"
 	"repro/internal/core"
 	"repro/internal/gen"
+	"repro/internal/method"
 	"repro/internal/sparse"
 )
 
@@ -231,4 +232,52 @@ func BenchmarkMultiplyTransposeSteadyState(b *testing.B) {
 			}
 		})
 	}
+}
+
+// powerLawMatrix is the benchmark module's power-law family at n rows
+// (10 nonzeros per row, two planted dense rows, generator seed 1): 160 000
+// rows is its pl160k matrix, 1 280 its cache-resident smoke matrix.
+func powerLawMatrix(n int) *sparse.CSR {
+	return gen.PowerLaw(gen.PowerLawConfig{
+		Rows: n, Cols: n, NNZ: 10 * n, Beta: 0.5,
+		DenseRows: 2, DenseMax: n / 16, Symmetric: true, Locality: 0.9,
+	}, 1)
+}
+
+// BenchmarkOwnKernelVsCSR tracks what the plan's layout costs against
+// plain CSR: the own compute kernels of a K=2 s2D plan over the 160k-row
+// power-law matrix (the benchmark's pl160k workloads), walked one after
+// the other on one goroutine, against sparse.MulVec on the same matrix.
+// The kernels cover every nonzero with a local output row — all but the
+// precompute set — so the two sub-benchmarks do the same arithmetic to
+// within that set; their ratio is the number to watch.
+func BenchmarkOwnKernelVsCSR(b *testing.B) {
+	a := powerLawMatrix(160000)
+	build, err := method.BuildByName("s2d", a, 2, method.Options{Seed: 1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	eng, err := NewEngine(build.Dist)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Cleanup(eng.Close)
+	x := make([]float64, a.Cols)
+	for i := range x {
+		x[i] = float64(i%7) - 3
+	}
+	y := make([]float64, a.Rows)
+	eng.Multiply(x, y) // leaves every extX as a multiply would
+	b.Run("own", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			for _, pr := range eng.procs {
+				pr.fwd.own.addInto(y, x, pr.fwd.extX)
+			}
+		}
+	})
+	b.Run("csr", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			a.MulVec(x, y)
+		}
+	})
 }

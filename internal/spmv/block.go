@@ -65,15 +65,20 @@ func (io *blockIO) multi(X, Y [][]float64, cols, rows int, mulBlock func(X, Y []
 	return nil
 }
 
+// checkDims panics unless x and y have the given lengths.
+func checkDims(x, y []float64, nx, ny int) {
+	if len(x) != nx || len(y) != ny {
+		panic("spmv: dimension mismatch")
+	}
+}
+
 // checkBlockDims panics unless X and Y are column-blocked for nrhs
 // right-hand sides over a cols×rows operator.
 func checkBlockDims(X, Y []float64, nrhs, cols, rows int) {
 	if nrhs < 1 {
 		panic("spmv: nrhs must be >= 1")
 	}
-	if len(X) != cols*nrhs || len(Y) != rows*nrhs {
-		panic("spmv: dimension mismatch")
-	}
+	checkDims(X, Y, cols*nrhs, rows*nrhs)
 }
 
 // addBlock accumulates src into dst (both nrhs wide).
@@ -85,24 +90,28 @@ func addBlock(dst, src []float64) {
 
 // ---- Engine ----
 
-// ensureBlock (re)sizes every per-proc block buffer for width nrhs.
-// Called with the workers parked, before dispatch; growth allocates,
-// repeat calls at or below the cached capacity only re-slice.
-func (e *Engine) ensureBlock(nrhs int) {
-	if nrhs == e.blockNRHS {
+// ensureBlock (re)sizes one direction's per-processor block buffers for
+// width nrhs. Called with every executor idle, before the multiply;
+// growth allocates, repeat calls at or below the cached capacity only
+// re-slice.
+func (e *Engine) ensureBlock(nrhs int, transpose bool) {
+	dir := 0
+	if transpose {
+		dir = 1
+	}
+	if nrhs == e.blockNRHS[dir] {
 		return
 	}
 	for _, pr := range e.procs {
-		pr.extXB = growBlock(pr.extXB, len(pr.extSlot)*nrhs)
-		pr.accB = growBlock(pr.accB, nrhs)
-		for _, sp := range pr.sends {
-			sp.ensureBlock(nrhs)
-		}
-		for _, sp := range pr.ySends {
-			sp.ensureBlock(nrhs)
+		pl := pr.plan(transpose)
+		pl.extXB = growBlock(pl.extXB, len(pl.extX)*nrhs)
+		for _, sends := range pl.sends {
+			for _, sp := range sends {
+				sp.ensureBlock(nrhs)
+			}
 		}
 	}
-	e.blockNRHS = nrhs
+	e.blockNRHS[dir] = nrhs
 }
 
 // MultiplyBlock computes Y ← AX for nrhs right-hand sides in the
@@ -112,11 +121,8 @@ func (e *Engine) ensureBlock(nrhs int) {
 // the block buffers are sized for the width. nrhs=1 is bit-identical to
 // Multiply. Like Multiply, calls must not overlap on one engine.
 func (e *Engine) MultiplyBlock(X, Y []float64, nrhs int) error {
-	a := e.d.A
-	checkBlockDims(X, Y, nrhs, a.Cols, a.Rows)
-	e.ensureBlock(nrhs)
-	e.curKern = e.sel.forWidth(nrhs)
-	return e.pool.dispatchBlock(X, Y, nrhs)
+	checkBlockDims(X, Y, nrhs, e.d.A.Cols, e.d.A.Rows)
+	return e.dispatch(X, Y, nrhs, false)
 }
 
 // MultiplyMulti computes Y[c] ← A·X[c] for every column c in one block
@@ -127,173 +133,45 @@ func (e *Engine) MultiplyMulti(X, Y [][]float64) error {
 	return e.io.multi(X, Y, e.d.A.Cols, e.d.A.Rows, e.MultiplyBlock)
 }
 
-// runFusedBlock is runFused with nrhs-wide payloads: same packets, same
-// sender-ordered folds, block kernels.
-//
-//spmv:hotpath
-func (e *Engine) runFusedBlock(pr *proc, x, y []float64, nrhs int, kid kernelID) {
-	pc := e.phaseClock(pr)
-	for _, sp := range pr.sends {
-		sp.fillBlock(kid, x, pr.extXB, nrhs)
-		e.procs[sp.dest].inbox[0] <- sp.bufB
-	}
-	pc.lap(&e.pt.expandNs)
-	for _, pk := range pr.recv[0].gather(pr.inbox[0]) {
-		slots := pr.recvX[pk.from]
-		for t, s := range slots {
-			copy(pr.extXB[s*nrhs:(s+1)*nrhs], pk.xVal[t*nrhs:(t+1)*nrhs])
-		}
-		for t, i := range pk.yIdx {
-			addBlock(y[i*nrhs:(i+1)*nrhs], pk.yVal[t*nrhs:(t+1)*nrhs])
-		}
-	}
-	pc.lap(&e.pt.foldNs)
-	ownOf(&pr.own, &pr.ownS, kid).addIntoBlockK(kid, y, x, pr.extXB, nrhs, pr.accB)
-	pc.lap(&e.pt.computeNs)
-}
-
-// runTwoPhaseBlock is runTwoPhase with nrhs-wide payloads.
-//
-//spmv:hotpath
-func (e *Engine) runTwoPhaseBlock(pr *proc, x, y []float64, nrhs int, kid kernelID) {
-	pc := e.phaseClock(pr)
-	// Phase 0 — Expand.
-	for _, sp := range pr.sends {
-		sp.fillBlock(kid, x, pr.extXB, nrhs)
-		e.procs[sp.dest].inbox[0] <- sp.bufB
-	}
-	for _, pk := range pr.recv[0].gather(pr.inbox[0]) {
-		slots := pr.recvX[pk.from]
-		for t, s := range slots {
-			copy(pr.extXB[s*nrhs:(s+1)*nrhs], pk.xVal[t*nrhs:(t+1)*nrhs])
-		}
-	}
-	pc.lap(&e.pt.expandNs)
-	// Multiply.
-	ownOf(&pr.own, &pr.ownS, kid).addIntoBlockK(kid, y, x, pr.extXB, nrhs, pr.accB)
-	pc.lap(&e.pt.computeNs)
-	// Phase 1 — Fold.
-	for _, sp := range pr.ySends {
-		sp.fillBlock(kid, x, pr.extXB, nrhs)
-		e.procs[sp.dest].inbox[1] <- sp.bufB
-	}
-	for _, pk := range pr.recv[1].gather(pr.inbox[1]) {
-		for t, i := range pk.yIdx {
-			addBlock(y[i*nrhs:(i+1)*nrhs], pk.yVal[t*nrhs:(t+1)*nrhs])
-		}
-	}
-	pc.lap(&e.pt.foldNs)
-}
-
 // ---- RoutedEngine ----
 
-// ensureBlock mirrors Engine.ensureBlock for the routed plan's dense
-// routing buffers and forward packets.
-func (e *RoutedEngine) ensureBlock(nrhs int) {
-	if nrhs == e.blockNRHS {
+// ensureBlock mirrors Engine.ensureBlock for the routed plans. The dense
+// routing buffers are shared by both directions, so sizing one direction
+// invalidates the other's width: its next block call re-slices them
+// back.
+func (e *RoutedEngine) ensureBlock(nrhs int, transpose bool) {
+	dir := 0
+	if transpose {
+		dir = 1
+	}
+	if nrhs == e.blockNRHS[dir] {
 		return
 	}
 	for _, pr := range e.rprocs {
-		pr.extXB = growBlock(pr.extXB, len(pr.extSlot)*nrhs)
+		pl := pr.plan(transpose)
+		pl.extXB = growBlock(pl.extXB, len(pl.extX)*nrhs)
 		pr.routeXValB = growBlock(pr.routeXValB, len(pr.routeXVal)*nrhs)
 		pr.routeYValB = growBlock(pr.routeYValB, len(pr.routeYVal)*nrhs)
-		pr.accB = growBlock(pr.accB, nrhs)
-		for _, sp := range pr.p1Sends {
+		for _, sp := range pl.hop1 {
 			sp.ensureBlock(nrhs)
 		}
-		for _, fp := range pr.p2Sends {
-			fp.bufB = packet{
-				from: fp.buf.from,
-				xIdx: fp.buf.xIdx,
-				xVal: growBlock(fp.bufB.xVal, len(fp.xSlot)*nrhs),
-				yIdx: fp.buf.yIdx,
-				yVal: growBlock(fp.bufB.yVal, len(fp.ySlot)*nrhs),
-			}
+		for _, fp := range pl.hop2 {
+			fp.ensureBlock(nrhs)
 		}
 	}
-	// The dense routing buffers are shared with the transpose plan; it
-	// must re-slice them on its next block call (see ensureTransposeBlock).
-	e.tBlockNRHS = 0
-	e.blockNRHS = nrhs
+	e.blockNRHS[dir], e.blockNRHS[1-dir] = nrhs, 0
 }
 
 // MultiplyBlock computes Y ← AX for nrhs right-hand sides with the routed
 // two-hop schedule; see Engine.MultiplyBlock for the layout and the
 // allocation contract.
 func (e *RoutedEngine) MultiplyBlock(X, Y []float64, nrhs int) error {
-	a := e.d.A
-	checkBlockDims(X, Y, nrhs, a.Cols, a.Rows)
-	e.ensureBlock(nrhs)
-	e.curKern = e.sel.forWidth(nrhs)
-	return e.pool.dispatchBlock(X, Y, nrhs)
+	checkBlockDims(X, Y, nrhs, e.d.A.Cols, e.d.A.Rows)
+	return e.dispatch(X, Y, nrhs, false)
 }
 
 // MultiplyMulti computes Y[c] ← A·X[c] for every column c in one routed
 // block multiply; see Engine.MultiplyMulti.
 func (e *RoutedEngine) MultiplyMulti(X, Y [][]float64) error {
 	return e.io.multi(X, Y, e.d.A.Cols, e.d.A.Rows, e.MultiplyBlock)
-}
-
-// runBlock is run with nrhs-wide payloads: identical routing, combining,
-// and fold order, block kernels and block copies.
-//
-//spmv:hotpath
-func (e *RoutedEngine) runBlock(pr *rproc, x, y []float64, nrhs int, kid kernelID) {
-	ryb := pr.routeYValB
-	for i := range ryb {
-		ryb[i] = 0
-	}
-	// Seed the routing buffers with self-routed payloads. selfY's rows
-	// index routing slots, not packet positions, so the relaxed loops may
-	// run here; the sorted layout still never applies (it is derived only
-	// for the own compute kernels).
-	for _, s := range pr.selfX {
-		copy(pr.routeXValB[s.slot*nrhs:(s.slot+1)*nrhs], x[s.idx*nrhs:(s.idx+1)*nrhs])
-	}
-	pr.selfY.addIntoBlockK(kid, ryb, x, nil, nrhs, pr.accB)
-	// Phase 1 sends.
-	for _, sp := range pr.p1Sends {
-		sp.fillBlock(kid, x, nil, nrhs)
-		e.rprocs[sp.dest].inbox[0] <- sp.bufB
-	}
-	// Phase 1 receives: combine into the dense routing buffers.
-	for _, pk := range pr.recv[0].gather(pr.inbox[0]) {
-		tr := pr.p1Recv[pk.from]
-		for t, rs := range tr.xRoute {
-			src := pk.xVal[t*nrhs : (t+1)*nrhs]
-			copy(pr.routeXValB[rs*nrhs:(rs+1)*nrhs], src)
-			if s := tr.xExt[t]; s >= 0 {
-				copy(pr.extXB[s*nrhs:(s+1)*nrhs], src)
-			}
-		}
-		for t, s := range tr.ySlot {
-			addBlock(ryb[s*nrhs:(s+1)*nrhs], pk.yVal[t*nrhs:(t+1)*nrhs])
-		}
-	}
-	// Phase 2 sends: forward combined payloads to final destinations.
-	for _, fp := range pr.p2Sends {
-		for t, s := range fp.xSlot {
-			copy(fp.bufB.xVal[t*nrhs:(t+1)*nrhs], pr.routeXValB[s*nrhs:(s+1)*nrhs])
-		}
-		for t, s := range fp.ySlot {
-			copy(fp.bufB.yVal[t*nrhs:(t+1)*nrhs], ryb[s*nrhs:(s+1)*nrhs])
-		}
-		e.rprocs[fp.dest].inbox[1] <- fp.bufB
-	}
-	// Rows this proc owns fold straight out of the routing buffer.
-	for t, i := range pr.yLocalRows {
-		addBlock(y[i*nrhs:(i+1)*nrhs], ryb[pr.yLocalSlot[t]*nrhs:(pr.yLocalSlot[t]+1)*nrhs])
-	}
-	// Phase 2 receives.
-	for _, pk := range pr.recv[1].gather(pr.inbox[1]) {
-		slots := pr.p2Recv[pk.from]
-		for t, s := range slots {
-			copy(pr.extXB[s*nrhs:(s+1)*nrhs], pk.xVal[t*nrhs:(t+1)*nrhs])
-		}
-		for t, i := range pk.yIdx {
-			addBlock(y[i*nrhs:(i+1)*nrhs], pk.yVal[t*nrhs:(t+1)*nrhs])
-		}
-	}
-	// Compute local rows.
-	ownOf(&pr.own, &pr.ownS, kid).addIntoBlockK(kid, y, x, pr.extXB, nrhs, pr.accB)
 }

@@ -1,6 +1,6 @@
-// Package spmv executes distributed-memory parallel SpMV over K logical
-// processors (goroutines exchanging explicit message packets), under any
-// distrib.Distribution. It implements the three schedules of the paper:
+// Package spmv executes distributed-memory parallel SpMV over K virtual
+// processors under any distrib.Distribution. It implements the three
+// schedules of the paper:
 //
 //   - the classic two-phase algorithm (expand x, multiply, fold ȳ) for 2D
 //     partitions;
@@ -10,13 +10,21 @@
 //   - the routed two-hop variant for s2D-b (§VI-B1), where packets travel
 //     through mesh intermediates and partial results combine en route.
 //
-// The engine exists to prove the algorithms compute the right answer, to
-// count real packets, and to serve iterative solvers efficiently:
-// NewEngine compiles the static schedule into a flat execution plan (see
-// plan.go) and parks K persistent workers, so a steady-state Multiply
-// spawns no goroutines and performs no heap allocations. Every plan also
-// serves the transpose product y ← Aᵀx with the phases reversed (see
-// transpose.go, routed_transpose.go) under the same contracts.
+// A virtual processor is a unit of the partition, not a goroutine: K is a
+// partition-quality parameter the paper sweeps to 4096, and the engine
+// must not pay a scheduler round trip per processor for it. NewEngine
+// compiles the static schedule into a flat execution plan (plan.go): per
+// processor, the packets it fills, the packets it reads — in place, out
+// of their senders' buffers, in ascending sender order — and its compute
+// kernel. A multiply is then a short list of steps over the K processors
+// separated by barriers, executed by min(K, GOMAXPROCS) executors of
+// which the calling goroutine is the first (exec.go). The barrier count
+// is the paper's phase count: one for the fused schedule, two for the
+// other two. A steady-state Multiply spawns no goroutines and performs no
+// heap allocations, and its result does not depend on which executor ran
+// which processor. Every plan also serves the transpose product y ← Aᵀx
+// with the phases reversed (transpose.go, routed_transpose.go) under the
+// same contracts.
 package spmv
 
 import (
@@ -26,70 +34,58 @@ import (
 	"repro/internal/distrib"
 )
 
-// packet is one point-to-point message: x entries requested by the
-// destination and partial y results destined for (or routed towards) it.
-// Index arrays are fixed at build time; value arrays are per-proc buffers
-// refilled on every Multiply.
-type packet struct {
-	from int
-	xIdx []int
-	xVal []float64
-	yIdx []int
-	yVal []float64
-}
-
-// proc holds one processor's schedule. The map-based fields describe the
-// schedule for ScheduleStats and the consistency tests; the compiled plan
-// fields below are what Multiply actually executes.
+// proc holds one virtual processor's schedule. The map-based fields
+// describe the schedule for ScheduleStats, the consistency tests and the
+// lazy transpose compile; the compiled plans are what Multiply executes.
 type proc struct {
 	id int
 
-	// Owned nonzeros whose output row is local: computed in the final
-	// Compute step. src ≥ 0 means x[src] is locally owned; src < 0 means
-	// external slot -(src+1).
-	ownRows []localNZ
 	// Owned nonzeros whose output row is remote (the precompute set),
 	// grouped by destination part. x is always local for these under s2D.
 	preGroups map[int][]localNZ
-
 	// xNeed[dest] lists the locally-owned x indices dest requires.
 	xNeed map[int][]int
-	// extSlot maps a remote x index to a slot in extX.
-	extSlot map[int]int
-	extX    []float64
+	// extIdx[s] is the remote x index held in slot s of the forward
+	// plan's extX.
+	extIdx []int
 
-	// One inbox per phase: a fast sender must not inject a later-phase
-	// packet into an earlier receive loop.
-	inbox []chan packet
-
-	// Compiled execution plan (see plan.go).
-	own rowKernel // Compute step over ownRows
-	// ownS is own recompiled in descending-work slot order, derived
-	// lazily the first time a sorted-layout backend is installed (see
-	// kernel.go); empty until then.
-	ownS   rowKernel
-	sends  []*sendPlan // fused: [x̂,ŷ] packets; two-phase: phase-0 x packets
-	ySends []*sendPlan // two-phase phase-1 fold packets
-	// recvX[sender] maps the t-th x entry of that sender's packet to an
-	// extX slot.
-	recvX map[int][]int
-	recv  []recvPlan // one per phase, fixing fold order by sender
-
-	// Block (multi-RHS) twins of the per-call buffers, sized lazily by
-	// Engine.ensureBlock: extXB mirrors extX with nrhs values per slot,
-	// accB is the per-slot accumulator scratch for the block kernels.
-	extXB []float64
-	accB  []float64
-
-	// Compiled transpose plan (y ← Aᵀx), built lazily on the first
-	// MultiplyTranspose; see transpose.go.
-	t *tproc
+	fwd vplan
+	// t is the compiled transpose plan (y ← Aᵀx), built lazily on the
+	// first MultiplyTranspose; see transpose.go.
+	t *vplan
 }
 
+// plan returns the processor's compiled plan for one direction.
+func (pr *proc) plan(transpose bool) *vplan {
+	if transpose {
+		return pr.t
+	}
+	return &pr.fwd
+}
+
+// localNZ is a build-time nonzero of one processor. src ≥ 0 means x[src]
+// is locally owned; src < 0 means external slot -(src+1).
 type localNZ struct {
 	row int
 	src int
 	val float64
+}
+
+// vplan is one virtual processor's compiled plan for one direction.
+// Phase 0 carries the fused [x̂,ŷ] packets or the two-phase x packets,
+// phase 1 the two-phase fold packets (empty when fused).
+type vplan struct {
+	extX []float64
+	// own is the Compute step over the processor's output rows; ownS is
+	// own recompiled in descending-work slot order, derived lazily the
+	// first time a sorted-layout backend is installed (see kernel.go).
+	own, ownS rowKernel
+	sends     [2][]*sendPlan
+	recv      [2][]recvLink // ascending sender order: fixes the fold order
+
+	// extXB is the block (multi-RHS) twin of extX, nrhs values per slot,
+	// sized lazily by ensureBlock.
+	extXB []float64
 }
 
 // Engine runs parallel SpMV for a fixed distribution. Build once with
@@ -100,163 +96,81 @@ type Engine struct {
 	d     *distrib.Distribution
 	procs []*proc
 	fused bool
-	pool  workerPool
+	run   runner
 
 	// Per-width-class kernel backend selection and the lazily derived
 	// sorted layouts (see kernel.go, autotune.go). The zero value runs
 	// the scalar reference kernels everywhere.
 	kernelState
 
-	// pt samples per-phase expand/compute/fold wall time on worker 0
-	// when armed via SamplePhases (see timing.go).
+	// pt samples per-phase expand/compute/fold wall time on the calling
+	// goroutine when armed via SamplePhases (see timing.go).
 	pt phaseTimer
 
-	// blockNRHS is the width the block buffers are currently sliced for
-	// (0 until the first MultiplyBlock); see ensureBlock in block.go.
-	blockNRHS int
+	// blockNRHS[dir] is the width direction dir's block buffers are
+	// currently sliced for (0 until its first block multiply); see
+	// ensureBlock in block.go.
+	blockNRHS [2]int
 	io        blockIO
 
 	// tready flips once the transpose plan is compiled (lazily, by the
-	// first MultiplyTranspose); tBlockNRHS is blockNRHS's transpose twin.
-	tready     bool
-	tBlockNRHS int
+	// first MultiplyTranspose).
+	tready bool
 }
 
 // NewEngine builds the static communication and computation schedule for
-// d, compiles it into an allocation-free execution plan, and starts one
-// persistent worker per processor. Fused distributions must satisfy the
-// s2D property.
+// d, compiles it into an allocation-free execution plan, and parks the
+// engine's helper executors. Fused distributions must satisfy the s2D
+// property.
 //
 //spmv:deterministic
 func NewEngine(d *distrib.Distribution) (*Engine, error) {
 	if err := d.Validate(); err != nil {
 		return nil, err
 	}
-	var (
-		e   *Engine
-		err error
-	)
-	if d.Fused {
-		e, err = newFusedEngine(d)
-	} else {
-		e, err = newTwoPhaseEngine(d)
-	}
-	if err != nil {
-		return nil, err
-	}
-	e.pool.launch(len(e.procs), func(i int, x, y []float64, nrhs int, transpose bool) {
-		pr := e.procs[i]
-		// curKern is written by the dispatcher before the start-channel
-		// send, so this read is ordered after it.
-		kid := e.curKern
-		switch {
-		case transpose && nrhs > 0 && e.fused:
-			e.runFusedTBlock(pr, x, y, nrhs, kid)
-		case transpose && nrhs > 0:
-			e.runTwoPhaseTBlock(pr, x, y, nrhs, kid)
-		case transpose && e.fused:
-			e.runFusedT(pr, x, y, kid)
-		case transpose:
-			e.runTwoPhaseT(pr, x, y, kid)
-		case nrhs > 0 && e.fused:
-			e.runFusedBlock(pr, x, y, nrhs, kid)
-		case nrhs > 0:
-			e.runTwoPhaseBlock(pr, x, y, nrhs, kid)
-		case e.fused:
-			e.runFused(pr, x, y, kid)
-		default:
-			e.runTwoPhase(pr, x, y, kid)
-		}
-	}, e.releasePeers)
-	return e, nil
-}
-
-// Close parks the engine permanently: its worker goroutines exit and
-// Multiply must not be called again (it returns a typed *ClosedError
-// if it is). Close is idempotent — sharing layers that
-// refcount engines may Close defensively. Closing is optional — an
-// unclosed engine merely keeps K goroutines parked until process exit —
-// but long-lived programs that build many engines should close them.
-func (e *Engine) Close() { e.pool.close() }
-
-func newProcs(k, phases int) []*proc {
-	procs := make([]*proc, k)
+	procs := make([]*proc, d.K)
 	for i := range procs {
-		inbox := make([]chan packet, phases)
-		for ph := range inbox {
-			// Capacity 2k: sends never block, so no deadlock between
-			// mutually waiting processors — even when fault containment
-			// floods one release packet per worker on top of the at most
-			// one real packet per sender per phase (see fault.go).
-			inbox[ph] = make(chan packet, 2*k)
-		}
-		procs[i] = &proc{
-			id:        i,
-			preGroups: make(map[int][]localNZ),
-			xNeed:     make(map[int][]int),
-			extSlot:   make(map[int]int),
-			inbox:     inbox,
-			recvX:     make(map[int][]int),
-		}
+		procs[i] = &proc{id: i, preGroups: make(map[int][]localNZ), xNeed: make(map[int][]int)}
 	}
-	return procs
-}
-
-func (p *proc) slotFor(j int) int {
-	s, ok := p.extSlot[j]
-	if !ok {
-		s = len(p.extSlot)
-		p.extSlot[j] = s
+	// Build-time state the compiled plan replaces: each processor's
+	// output-local nonzeros, its remote-x slot assignment, and the x
+	// indices every (owner, consumer) pair exchanges.
+	own := make([][]localNZ, d.K)
+	extSlot := make([]map[int]int, d.K)
+	for i := range extSlot {
+		extSlot[i] = make(map[int]int)
 	}
-	return s
-}
-
-// compileRecvX installs, on every destination, the extX slot translation
-// for each sender's fixed x payload.
-func compileRecvX(procs []*proc) {
-	for _, pr := range procs {
-		for dest, idxs := range pr.xNeed { //spmvlint:unordered each destination writes its own recvX slot
-			slots := make([]int, len(idxs))
-			for t, j := range idxs {
-				slots[t] = procs[dest].extSlot[j]
-			}
-			procs[dest].recvX[pr.id] = slots
-		}
-	}
-}
-
-// newFusedEngine builds the §III schedule: every nonzero is x-local or
-// y-local; x-local/y-remote nonzeros are precomputed and their partials
-// ride in the same packet as the x entries the destination needs.
-func newFusedEngine(d *distrib.Distribution) (*Engine, error) {
-	procs := newProcs(d.K, 1)
-
-	// xWant[owner][dest] tracks the set of x indices dest needs from owner.
 	type pair struct{ from, to int }
 	xWant := make(map[pair]map[int]struct{})
 
 	var s2dErr error
 	d.EachNZ(func(i, j int, v float64, o int) {
+		yOwner, xOwner := d.YPart[i], d.XPart[j]
 		if s2dErr != nil {
 			return
 		}
-		yOwner := d.YPart[i]
-		xOwner := d.XPart[j]
-		pr := procs[o]
-		switch {
-		case o == yOwner && o == xOwner:
-			pr.ownRows = append(pr.ownRows, localNZ{row: i, src: j, val: v})
-		case o == yOwner: // x remote: request x_j from its owner
+		if d.Fused && o != yOwner && o != xOwner {
+			s2dErr = fmt.Errorf("spmv: nonzero (%d,%d) violates s2D", i, j)
+			return
+		}
+		src := j
+		if xOwner != o { // x remote: request x_j from its owner
 			key := pair{from: xOwner, to: o}
 			if xWant[key] == nil {
 				xWant[key] = make(map[int]struct{})
 			}
 			xWant[key][j] = struct{}{}
-			pr.ownRows = append(pr.ownRows, localNZ{row: i, src: -(pr.slotFor(j) + 1), val: v})
-		case o == xOwner: // y remote: precompute, ship the partial
-			pr.preGroups[yOwner] = append(pr.preGroups[yOwner], localNZ{row: i, src: j, val: v})
-		default:
-			s2dErr = fmt.Errorf("spmv: nonzero (%d,%d) violates s2D", i, j)
+			s, ok := extSlot[o][j]
+			if !ok {
+				s = len(extSlot[o])
+				extSlot[o][j] = s
+			}
+			src = -(s + 1)
+		}
+		if yOwner == o {
+			own[o] = append(own[o], localNZ{row: i, src: src, val: v})
+		} else { // y remote: ship the partial (precomputed when fused)
+			procs[o].preGroups[yOwner] = append(procs[o].preGroups[yOwner], localNZ{row: i, src: src, val: v})
 		}
 	})
 	if s2dErr != nil {
@@ -270,52 +184,81 @@ func newFusedEngine(d *distrib.Distribution) (*Engine, error) {
 		sort.Ints(idxs)
 		procs[key.from].xNeed[key.to] = idxs
 	}
-	// A packet k→ℓ exists if k has x entries for ℓ or precomputed partials
-	// for ℓ — collect the sender set of every destination.
-	sendersOf := make(map[int]map[int]struct{})
-	addSender := func(from, to int) {
-		if sendersOf[to] == nil {
-			sendersOf[to] = make(map[int]struct{})
-		}
-		sendersOf[to][from] = struct{}{}
-	}
-	for key := range xWant { //spmvlint:unordered set insertion; commutative
-		addSender(key.from, key.to)
-	}
-	for _, pr := range procs {
-		for dest := range pr.preGroups { //spmvlint:unordered set insertion; commutative
-			addSender(pr.id, dest)
-		}
-	}
-	for _, pr := range procs {
-		pr.extX = make([]float64, len(pr.extSlot))
-	}
 
 	// ---- compile the execution plan ----
 	for _, pr := range procs {
-		pr.own = compileRows(pr.ownRows)
-		destSet := make(map[int]struct{}, len(pr.xNeed)+len(pr.preGroups))
-		for dst := range pr.xNeed {
-			destSet[dst] = struct{}{}
-		}
-		for dst := range pr.preGroups {
-			destSet[dst] = struct{}{}
-		}
-		dests := sortedKeys(destSet)
-		grps := make([]rowKernel, len(dests))
-		words := 0
-		for t, dst := range dests {
-			grps[t] = compileRows(pr.preGroups[dst])
-			words += len(pr.xNeed[dst]) + len(grps[t].rows)
-		}
-		arena := newValArena(words)
-		for t, dst := range dests {
-			pr.sends = append(pr.sends, newSendPlan(pr.id, dst, pr.xNeed[dst], grps[t], arena))
-		}
-		pr.recv = []recvPlan{newRecvPlan(sortedKeys(sendersOf[pr.id]))}
+		pr.extIdx = invertSlots(extSlot[pr.id])
+		pr.fwd.extX = make([]float64, len(pr.extIdx))
+		pr.fwd.own = compileRows(own[pr.id])
+		own[pr.id] = nil
+		pr.fwd.sends = compileSends(d.Fused, pr.xNeed, pr.preGroups)
 	}
-	compileRecvX(procs)
-	return &Engine{d: d, procs: procs, fused: true}, nil
+	e := &Engine{d: d, procs: procs, fused: d.Fused}
+	linkRecvs(procs, false, extSlot)
+	e.run.start(d.K, e)
+	return e, nil
+}
+
+// compileSends compiles one processor's outgoing packets for one
+// direction from the x indices (xOut) and the partial-result nonzeros
+// (groups) it owes each destination. Fused, a destination gets one
+// [x̂,ŷ] packet in phase 0; otherwise its x entries travel in phase 0
+// and its partials in phase 1. Destinations ascend within a phase.
+func compileSends(fused bool, xOut map[int][]int, groups map[int][]localNZ) (sends [2][]*sendPlan) {
+	type packet struct {
+		phase, dest int
+		xIdx        []int
+		grp         rowKernel
+	}
+	var packets []packet
+	if fused {
+		dests := make(map[int]struct{}, len(xOut)+len(groups))
+		for dst := range xOut {
+			dests[dst] = struct{}{}
+		}
+		for dst := range groups {
+			dests[dst] = struct{}{}
+		}
+		for _, dst := range sortedKeys(dests) {
+			packets = append(packets, packet{0, dst, xOut[dst], compileRows(groups[dst])})
+		}
+	} else {
+		for _, dst := range sortedKeys(xOut) {
+			packets = append(packets, packet{0, dst, xOut[dst], rowKernel{}})
+		}
+		for _, dst := range sortedKeys(groups) {
+			packets = append(packets, packet{1, dst, nil, compileRows(groups[dst])})
+		}
+	}
+	words := 0
+	for _, p := range packets {
+		words += len(p.xIdx) + len(p.grp.rows)
+	}
+	arena := newValArena(words)
+	for _, p := range packets {
+		sends[p.phase] = append(sends[p.phase], newSendPlan(p.dest, p.xIdx, p.grp, arena))
+	}
+	return sends
+}
+
+// linkRecvs compiles every processor's static receive lists for one
+// direction: one link per packet addressed to it, reading the sender's
+// payload in place, its x entries translated to the receiver's extX
+// slots (extSlot[dest]: shipped index → slot). Walking senders in
+// ascending order leaves every list sender-ordered.
+func linkRecvs(procs []*proc, transpose bool, extSlot []map[int]int) {
+	for _, pr := range procs {
+		for ph, sends := range pr.plan(transpose).sends {
+			for _, sp := range sends {
+				xTo := make([]int, len(sp.xIdx))
+				for t, j := range sp.xIdx {
+					xTo[t] = extSlot[sp.dest][j]
+				}
+				dst := procs[sp.dest].plan(transpose)
+				dst.recv[ph] = append(dst.recv[ph], recvLink{peer: pr.id, from: &sp.payload, xTo: xTo, yTo: sp.grp.rows})
+			}
+		}
+	}
 }
 
 // compiledGroupRows returns the distinct rows a fold group will ship —
@@ -331,159 +274,91 @@ func compiledGroupRows(nzs []localNZ) []int {
 	return dedupSorted(rows)
 }
 
-// newTwoPhaseEngine builds the classic expand/fold schedule used by 2D
-// partitions: phase 0 ships x entries to nonzero owners, phase 1 ships
-// partial y results to row owners.
-func newTwoPhaseEngine(d *distrib.Distribution) (*Engine, error) {
-	procs := newProcs(d.K, 2)
-
-	type pair struct{ from, to int }
-	xWant := make(map[pair]map[int]struct{})
-
-	d.EachNZ(func(i, j int, v float64, o int) {
-		yOwner := d.YPart[i]
-		pr := procs[o]
-		src := j
-		if d.XPart[j] != o {
-			key := pair{from: d.XPart[j], to: o}
-			if xWant[key] == nil {
-				xWant[key] = make(map[int]struct{})
-			}
-			xWant[key][j] = struct{}{}
-			src = -(pr.slotFor(j) + 1)
-		}
-		if yOwner == o {
-			pr.ownRows = append(pr.ownRows, localNZ{row: i, src: src, val: v})
-		} else {
-			pr.preGroups[yOwner] = append(pr.preGroups[yOwner], localNZ{row: i, src: src, val: v})
-		}
-	})
-	xSenders := make(map[int]map[int]struct{})
-	ySenders := make(map[int]map[int]struct{})
-	addSender := func(m map[int]map[int]struct{}, from, to int) {
-		if m[to] == nil {
-			m[to] = make(map[int]struct{})
-		}
-		m[to][from] = struct{}{}
-	}
-	for key, set := range xWant { //spmvlint:unordered per-key independent writes; idxs are sorted before use
-		idxs := make([]int, 0, len(set))
-		for j := range set {
-			idxs = append(idxs, j)
-		}
-		sort.Ints(idxs)
-		procs[key.from].xNeed[key.to] = idxs
-		addSender(xSenders, key.from, key.to)
-	}
-	for _, pr := range procs {
-		for dest := range pr.preGroups { //spmvlint:unordered set insertion; commutative
-			addSender(ySenders, pr.id, dest)
-		}
-	}
-	for _, pr := range procs {
-		pr.extX = make([]float64, len(pr.extSlot))
-	}
-
-	// ---- compile the execution plan ----
-	for _, pr := range procs {
-		pr.own = compileRows(pr.ownRows)
-		yDests := sortedKeys(pr.preGroups)
-		grps := make([]rowKernel, len(yDests))
-		words := 0
-		for _, idxs := range pr.xNeed {
-			words += len(idxs)
-		}
-		for t, dst := range yDests {
-			grps[t] = compileRows(pr.preGroups[dst])
-			words += len(grps[t].rows)
-		}
-		arena := newValArena(words)
-		for _, dst := range sortedKeys(pr.xNeed) {
-			pr.sends = append(pr.sends, newSendPlan(pr.id, dst, pr.xNeed[dst], rowKernel{}, arena))
-		}
-		for t, dst := range yDests {
-			pr.ySends = append(pr.ySends, newSendPlan(pr.id, dst, nil, grps[t], arena))
-		}
-		pr.recv = []recvPlan{
-			newRecvPlan(sortedKeys(xSenders[pr.id])),
-			newRecvPlan(sortedKeys(ySenders[pr.id])),
-		}
-	}
-	compileRecvX(procs)
-	return &Engine{d: d, procs: procs, fused: false}, nil
-}
+// Close stops the engine's helper executors and returns once they have
+// exited; Multiply must not be called again (it returns a typed
+// *ClosedError if it is). Close is idempotent — sharing layers that
+// refcount engines may Close defensively. Closing is optional — an
+// unclosed engine merely keeps at most GOMAXPROCS−1 goroutines parked
+// until process exit — but long-lived programs that build many engines
+// should close them.
+func (e *Engine) Close() { e.run.close() }
 
 // Multiply computes y ← Ax in parallel. x and y must have the matrix's
 // dimensions (mismatches panic: that is a caller bug, not a runtime
 // condition); y is fully overwritten. Steady-state calls spawn no
-// goroutines and allocate nothing: the parked workers execute the
-// compiled plan against the published x and y. Multiply returns a typed
-// *ClosedError after Close and a typed *EngineFaultError once a
-// contained worker panic has poisoned the engine.
+// goroutines and allocate nothing: the caller and the engine's parked
+// helpers execute the compiled plan against x and y. Multiply returns a
+// typed *ClosedError after Close and a typed *EngineFaultError once a
+// contained processor panic has poisoned the engine.
 func (e *Engine) Multiply(x, y []float64) error {
-	a := e.d.A
-	if len(x) != a.Cols || len(y) != a.Rows {
-		panic("spmv: dimension mismatch")
-	}
-	e.curKern = e.sel.forWidth(1)
-	return e.pool.dispatch(x, y)
+	checkDims(x, y, e.d.A.Cols, e.d.A.Rows)
+	return e.dispatch(x, y, 0, false)
 }
 
-// runFused executes one processor's part of the §III algorithm: fill the
-// precompiled [x̂,ŷ] packets (Precompute + Expand-and-Fold), bank the
-// incoming ones in sender order, then run the local Compute kernel.
-//
-//spmv:hotpath
-func (e *Engine) runFused(pr *proc, x, y []float64, kid kernelID) {
-	pc := e.phaseClock(pr)
-	for _, sp := range pr.sends {
-		sp.fill(kid, x, pr.extX)
-		e.procs[sp.dest].inbox[0] <- sp.buf
+// dispatch runs one multiply of any surface: nrhs = 0 is the
+// single-vector plan, nrhs > 0 the column-blocked one; transpose selects
+// the Aᵀx plan. Lazy plan state is brought up to date first, with every
+// executor idle.
+func (e *Engine) dispatch(x, y []float64, nrhs int, transpose bool) error {
+	if transpose {
+		e.ensureTranspose()
 	}
-	pc.lap(&e.pt.expandNs)
-	for _, pk := range pr.recv[0].gather(pr.inbox[0]) {
-		slots := pr.recvX[pk.from]
-		for t, v := range pk.xVal {
-			pr.extX[slots[t]] = v
-		}
-		for t, i := range pk.yIdx {
-			y[i] += pk.yVal[t] // rows owned exclusively by this proc
-		}
+	if nrhs > 0 {
+		e.ensureBlock(nrhs, transpose)
 	}
-	pc.lap(&e.pt.foldNs)
-	ownOf(&pr.own, &pr.ownS, kid).addIntoK(kid, y, x, pr.extX)
-	pc.lap(&e.pt.computeNs)
+	steps := 3
+	if e.fused {
+		steps = 2
+	}
+	return e.run.multiply(job{
+		x: x, y: y, nrhs: nrhs, transpose: transpose,
+		kid: e.sel.forWidth(max(nrhs, 1)), steps: steps, sample: e.pt.begin(),
+	}, e.d.A.NNZ())
 }
 
-// runTwoPhase executes one processor's part of the classic algorithm.
+// step executes step s of virtual processor vp. The fused schedule (§III)
+// is steps 0–1 around one barrier: fill the [x̂,ŷ] packets (Precompute +
+// Expand-and-Fold), then bank the incoming ones in sender order and run
+// the local Compute kernel. The classic schedule is steps 0–2 around
+// two: fill the x packets (Expand); bank them, multiply, and fill the
+// partial-result packets; bank those (Fold). The runner has cleared y
+// before any step 1.
 //
 //spmv:hotpath
-func (e *Engine) runTwoPhase(pr *proc, x, y []float64, kid kernelID) {
-	pc := e.phaseClock(pr)
-	// Phase 0 — Expand.
-	for _, sp := range pr.sends {
-		sp.fill(kid, x, pr.extX)
-		e.procs[sp.dest].inbox[0] <- sp.buf
+func (e *Engine) step(s, vp int, j *job) {
+	pl := e.procs[vp].plan(j.transpose)
+	ext, pt := pl.extX, &e.pt
+	if j.nrhs > 0 {
+		ext = pl.extXB
 	}
-	for _, pk := range pr.recv[0].gather(pr.inbox[0]) {
-		slots := pr.recvX[pk.from]
-		for t, v := range pk.xVal {
-			pr.extX[slots[t]] = v
+	switch s {
+	case 0:
+		for _, sp := range pl.sends[0] {
+			sp.fill(j, ext) // fused partial kernels read local x only
 		}
-	}
-	pc.lap(&e.pt.expandNs)
-	// Multiply.
-	ownOf(&pr.own, &pr.ownS, kid).addIntoK(kid, y, x, pr.extX)
-	pc.lap(&e.pt.computeNs)
-	// Phase 1 — Fold.
-	for _, sp := range pr.ySends {
-		sp.fill(kid, x, pr.extX)
-		e.procs[sp.dest].inbox[1] <- sp.buf
-	}
-	for _, pk := range pr.recv[1].gather(pr.inbox[1]) {
-		for t, i := range pk.yIdx {
-			y[i] += pk.yVal[t]
+		pt.lap(j, vp, &pt.expandNs)
+	case 1:
+		bank(pl.recv[0], ext, j.y, j.nrhs) // rows owned exclusively by vp
+		if e.fused {
+			pt.lap(j, vp, &pt.foldNs)
+		} else {
+			pt.lap(j, vp, &pt.expandNs)
 		}
+		own := ownOf(&pl.own, &pl.ownS, j.kid)
+		if j.nrhs > 0 {
+			own.addIntoBlockK(j.kid, j.y, j.x, ext, j.nrhs)
+		} else {
+			own.addIntoK(j.kid, j.y, j.x, ext)
+		}
+		pt.lap(j, vp, &pt.computeNs)
+		for _, sp := range pl.sends[1] {
+			sp.fill(j, ext)
+		}
+		if !e.fused {
+			pt.lap(j, vp, &pt.foldNs)
+		}
+	case 2:
+		bank(pl.recv[1], ext, j.y, j.nrhs)
+		pt.lap(j, vp, &pt.foldNs)
 	}
-	pc.lap(&e.pt.foldNs)
 }

@@ -1,15 +1,19 @@
 package spmv
 
 // This file is the engine-side fault-containment surface. A panic inside
-// a worker goroutine used to kill the whole process; now the worker
-// recovers it, records it, floods its peers with empty release packets so
-// every in-flight gather completes and the dispatch barrier closes, and
-// the dispatch returns a typed *EngineFaultError. The engine is poisoned
-// from that point on — its compiled buffers and inboxes may hold partial
-// state — so every later dispatch fails fast with the same fault instead
-// of computing garbage. Sharing layers (internal/serve's pool) quarantine
-// poisoned engines and rebuild them; the worker goroutines themselves
-// survive the panic parked, so Close still collects them cleanly.
+// one virtual processor's step is recovered around that processor's
+// ticket alone (runner.contain in exec.go): the executor records it with
+// the processor's id, poisons the engine, counts the ticket done and
+// goes on claiming. Nothing has to be released — a step is complete when
+// its tickets are, whoever ran them and however they ended — so the
+// barrier closes and the multiply returns a typed *EngineFaultError. The
+// remaining steps of that multiply only count their tickets, and the
+// engine is poisoned from that point on — its compiled buffers may hold
+// partial state — so every later multiply fails fast with the same fault
+// instead of executing a step. Sharing layers (internal/serve's pool)
+// quarantine poisoned engines and rebuild them; the helper goroutines
+// themselves survive the panic parked, so Close still collects them
+// cleanly.
 
 import (
 	"fmt"
@@ -27,17 +31,18 @@ func (e *ClosedError) Error() string {
 	return fmt.Sprintf("spmv: %s on closed engine", e.Op)
 }
 
-// WorkerPanic records one contained panic inside a worker goroutine.
+// WorkerPanic records one contained panic inside a virtual processor's
+// step.
 type WorkerPanic struct {
-	Worker int    // processor id; -1 for panics outside any worker
+	Worker int    // virtual processor id
 	Value  string // the recovered value, stringified
 }
 
-// EngineFaultError reports that one or more worker goroutines panicked
-// during a dispatch. Only the in-flight multiply failed — the process
-// and the other workers survive — but the engine is poisoned: its packet
-// buffers may hold partial state, so every subsequent dispatch returns
-// the same fault. The only recovery is to Close the engine and build a
+// EngineFaultError reports that one or more virtual processors panicked
+// during a multiply. Only the in-flight multiply failed — the process
+// and the engine's goroutines survive — but the engine is poisoned: its
+// packet buffers may hold partial state, so every subsequent multiply
+// returns the same fault. The only recovery is to Close the engine and build a
 // fresh one.
 type EngineFaultError struct {
 	Op     string
@@ -54,50 +59,17 @@ func (e *EngineFaultError) Error() string {
 }
 
 // WorkerFaultHooker is implemented by engines that accept an injectable
-// per-worker hook, run at the top of every worker turn. A panic inside
-// the hook is contained exactly like a plan panic — the serving layer's
-// fault-injection harness uses this to force worker crashes at chosen
-// points. A nil hook clears it.
+// per-processor hook, run once per virtual processor per multiply with
+// the processor's id, before its first step. A panic inside the hook is
+// contained exactly like a plan panic — the serving layer's
+// fault-injection harness uses this to force processor crashes at
+// chosen points. A nil hook clears it.
 type WorkerFaultHooker interface {
 	SetWorkerFaultHook(func(worker int))
 }
 
-// SetWorkerFaultHook installs h on the engine's worker pool.
-func (e *Engine) SetWorkerFaultHook(h func(worker int)) { e.pool.setHook(h) }
+// SetWorkerFaultHook installs h on the engine's runner.
+func (e *Engine) SetWorkerFaultHook(h func(worker int)) { e.run.setHook(h) }
 
-// SetWorkerFaultHook installs h on the routed engine's worker pool.
-func (e *RoutedEngine) SetWorkerFaultHook(h func(worker int)) { e.pool.setHook(h) }
-
-// releasePeers floods every other processor's inboxes with one empty
-// packet from worker i. A gather still waiting on the panicked worker's
-// sends accepts the release packet in its place (sender-keyed, see
-// recvPlan.gather) and reads its empty payload harmlessly; gathers that
-// never expected worker i in that phase drop the packet instead of
-// completing early over stale buffers. The inbox capacity (2K per
-// phase) absorbs the worst case of every worker sending one real and
-// one release packet per phase, so these sends never block. Spurious
-// packets left in buffers are harmless: the engine is poisoned and will
-// never dispatch again.
-func (e *Engine) releasePeers(i int) {
-	for _, pr := range e.procs {
-		if pr.id == i {
-			continue
-		}
-		for _, ch := range pr.inbox {
-			ch <- packet{from: i}
-		}
-	}
-}
-
-// releasePeers is Engine.releasePeers for the routed engine's two-phase
-// inboxes.
-func (e *RoutedEngine) releasePeers(i int) {
-	for _, pr := range e.rprocs {
-		if pr.id == i {
-			continue
-		}
-		for _, ch := range pr.inbox {
-			ch <- packet{from: i}
-		}
-	}
-}
+// SetWorkerFaultHook installs h on the routed engine's runner.
+func (e *RoutedEngine) SetWorkerFaultHook(h func(worker int)) { e.run.setHook(h) }

@@ -10,10 +10,10 @@ package spmv
 //                 reference backend; every other non-relaxed backend is
 //                 bitwise identical to it.
 //   - reg:        register-blocked SpMM loops for nrhs ∈ {2, 4, 8}
-//                 (kernel_width.go): fixed-width accumulators live in
-//                 registers and the per-column bounds checks of the
-//                 generic `for c := range acc` loop disappear. Other
-//                 widths fall back to the scalar loops.
+//                 (kernel_width.go): the width, the stride and the
+//                 accumulator count are compile-time constants and a
+//                 slot's runs are walked once. Other widths fall back
+//                 to the scalar loops.
 //   - sorted:     the sorted-slot layout (SELL-C-σ spirit): the *own*
 //                 compute kernels are recompiled with slots in descending
 //                 nonzero-count order, so the power-law suite's heavy
@@ -126,13 +126,11 @@ func (s *kernelSel) anySorted() bool {
 }
 
 // kernelState is the kernel-selection state embedded in both engines:
-// the per-class selection, the backend of the in-flight dispatch
-// (written by the dispatcher before the workers start, so the channel
-// send orders it before any worker read), flags for the lazily derived
-// sorted own kernels, and the last Autotune report.
+// the per-class selection (a multiply's backend is resolved from it once
+// and travels in its job), flags for the lazily derived sorted own
+// kernels, and the last Autotune report.
 type kernelState struct {
 	sel                kernelSel
-	curKern            kernelID
 	sortedFwd, sortedT bool
 	tuned              *KernelReport
 }
@@ -185,7 +183,7 @@ func (k *rowKernel) fillIntoK(kid kernelID, dst, x, ext []float64) {
 // identical to scalar even under reg/relaxed selections.
 //
 //spmv:hotpath
-func (k *rowKernel) addIntoBlockK(kid kernelID, dst, x, ext []float64, nrhs int, acc []float64) {
+func (k *rowKernel) addIntoBlockK(kid kernelID, dst, x, ext []float64, nrhs int) {
 	switch {
 	case kid.regBlocked():
 		switch nrhs {
@@ -215,7 +213,7 @@ func (k *rowKernel) addIntoBlockK(kid kernelID, dst, x, ext []float64, nrhs int,
 			return
 		}
 	}
-	k.addIntoBlock(dst, x, ext, nrhs, acc)
+	k.addIntoBlock(dst, x, ext, nrhs)
 }
 
 // fillIntoBlockK is fillIntoBlock under the given backend.
@@ -304,7 +302,7 @@ func ownOf(flat, sorted *rowKernel, kid kernelID) *rowKernel {
 
 // installKernel installs kid for one width class and derives the sorted
 // own kernels the first time a sorted-layout backend is selected. It
-// must run with the workers parked (between dispatches), like every
+// must run with every executor idle (between multiplies), like every
 // other plan mutation.
 func (e *Engine) installKernel(class int, kid kernelID) {
 	e.sel.byClass[class] = kid
@@ -319,7 +317,7 @@ func (e *Engine) installKernel(class int, kid kernelID) {
 func (e *Engine) ensureSorted() {
 	if !e.sortedFwd {
 		for _, pr := range e.procs {
-			pr.ownS = sortedByWork(&pr.own)
+			pr.fwd.ownS = sortedByWork(&pr.fwd.own)
 		}
 		e.sortedFwd = true
 	}
@@ -341,7 +339,7 @@ func (e *RoutedEngine) installKernel(class int, kid kernelID) {
 func (e *RoutedEngine) ensureSorted() {
 	if !e.sortedFwd {
 		for _, pr := range e.rprocs {
-			pr.ownS = sortedByWork(&pr.own)
+			pr.fwd.ownS = sortedByWork(&pr.fwd.own)
 		}
 		e.sortedFwd = true
 	}

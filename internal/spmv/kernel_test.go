@@ -115,33 +115,15 @@ func compareVec(t *testing.T, label string, got, want []float64, ulpTol uint64) 
 // ulp-close for relaxed. The matrix is rectangular so a transposed
 // dimension mix-up cannot cancel out.
 func TestKernelBackendEquivalence(t *testing.T) {
-	r := rand.New(rand.NewSource(42))
-	maxW := kernelWidths[len(kernelWidths)-1]
-	type fixture struct {
-		a     *sparse.CSR
-		x, xt []float64
-	}
-	rect := fixture{a: randomMatrix(r, 150, 110, 1700)}
-	rect.x = randomVector(r, rect.a.Cols*maxW)
-	rect.xt = randomVector(r, rect.a.Rows*maxW)
 	// Some registry methods (reordering-based) only accept square
 	// matrices; they run on the square fixture instead.
-	square := fixture{a: randomMatrix(r, 130, 130, 1700)}
-	square.x = randomVector(r, square.a.Cols*maxW)
-	square.xt = randomVector(r, square.a.Rows*maxW)
+	rect, square := registryFixtures(42)
 
 	for _, k := range []int{4, 16} {
 		opt := method.Options{Seed: 7, Pipeline: method.NewPipeline()}
 		for _, name := range method.Names() {
 			t.Run(fmt.Sprintf("%s/K=%d", name, k), func(t *testing.T) {
-				fx := rect
-				b, err := method.BuildByName(name, fx.a, k, opt)
-				if err != nil {
-					fx = square
-					if b, err = method.BuildByName(name, fx.a, k, opt); err != nil {
-						t.Fatalf("build: %v", err)
-					}
-				}
+				b, fx := buildEither(t, name, k, opt, rect, square)
 				a, X, XT := fx.a, fx.x, fx.xt
 				eng, err := New(b)
 				if err != nil {

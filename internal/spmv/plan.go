@@ -1,11 +1,8 @@
 package spmv
 
 import (
-	"fmt"
 	"maps"
 	"slices"
-	"sync"
-	"sync/atomic"
 )
 
 // This file holds the compiled execution plan shared by all three
@@ -18,12 +15,16 @@ import (
 //     slot has one run of local-x nonzeros and one run of external-x
 //     nonzeros, so the inner loops never test the sign-encoded src that
 //     localNZ uses at build time.
-//   - sendPlan: a packet with fixed index arrays built once; only the
-//     value arrays (carved from a per-proc valArena) are refilled per
-//     call.
-//   - recvPlan: fixes the fold order of incoming packets by sender
-//     ordinal, making y accumulation bitwise-deterministic run-to-run
-//     even though channel arrival order is not.
+//   - sendPlan: a packet with fixed index arrays built once; only its
+//     payload (carved from a per-processor valArena) is refilled per
+//     call, by the step that sends it.
+//   - recvLink: the same packet as its receiver sees it — a pointer to
+//     the sender's payload plus where each word lands. A processor's
+//     links are compiled in ascending sender order and banked in that
+//     order by the step after the fill (see exec.go for the barrier in
+//     between), which is what makes y accumulation bitwise-deterministic
+//     whichever executor runs the processor. bank is the only receive
+//     site in the package.
 
 // segKernel is a pair of CSR-style nonzero runs per output slot t:
 // a local run reading x directly and an external run reading the
@@ -37,46 +38,27 @@ type segKernel struct {
 	extVal []float64
 }
 
+// The row loops below slice each run once (src, val := …[a:b]) and range
+// over the index slice: the bounds of a run are checked once per slot
+// instead of three times per nonzero, and the slice headers stay in
+// registers instead of being reloaded through k.
+
 // value computes slot t's dot-product contribution.
 //
 //spmv:hotpath
 func (k *segKernel) value(t int, x, ext []float64) float64 {
 	s := 0.0
-	for q := k.locPtr[t]; q < k.locPtr[t+1]; q++ {
-		s += k.locVal[q] * x[k.locSrc[q]]
+	src := k.locSrc[k.locPtr[t]:k.locPtr[t+1]]
+	val := k.locVal[k.locPtr[t]:k.locPtr[t+1]]
+	for q, j := range src {
+		s += val[q] * x[j]
 	}
-	for q := k.extPtr[t]; q < k.extPtr[t+1]; q++ {
-		s += k.extVal[q] * ext[k.extSrc[q]]
+	src = k.extSrc[k.extPtr[t]:k.extPtr[t+1]]
+	val = k.extVal[k.extPtr[t]:k.extPtr[t+1]]
+	for q, j := range src {
+		s += val[q] * ext[j]
 	}
 	return s
-}
-
-// valueBlock computes slot t's contribution for all nrhs columns into
-// acc[0:nrhs]. x and ext use the column-blocked layout: the value of
-// source j for column c sits at x[j*nrhs+c]. Per column, the nonzeros
-// accumulate in exactly the order value uses, so nrhs=1 reproduces the
-// single-vector result bit for bit.
-//
-//spmv:hotpath
-func (k *segKernel) valueBlock(t int, x, ext []float64, nrhs int, acc []float64) {
-	acc = acc[:nrhs]
-	for c := range acc {
-		acc[c] = 0
-	}
-	for q := k.locPtr[t]; q < k.locPtr[t+1]; q++ {
-		v := k.locVal[q]
-		xs := x[k.locSrc[q]*nrhs:]
-		for c := range acc {
-			acc[c] += v * xs[c]
-		}
-	}
-	for q := k.extPtr[t]; q < k.extPtr[t+1]; q++ {
-		v := k.extVal[q]
-		xs := ext[k.extSrc[q]*nrhs:]
-		for c := range acc {
-			acc[c] += v * xs[c]
-		}
-	}
 }
 
 // rowKernel couples a segKernel with its output indices (global y rows
@@ -86,12 +68,27 @@ type rowKernel struct {
 	segKernel
 }
 
-// addInto accumulates every slot's value into dst[rows[t]].
+// addInto accumulates every slot's value into dst[rows[t]]. It is the
+// loop nearly every nonzero of a multiply runs through, so it carries
+// value's two runs itself, with the run bounds walked incrementally and
+// the sum in a local until the slot's one store.
 //
 //spmv:hotpath
 func (k *rowKernel) addInto(dst, x, ext []float64) {
+	la, ea := k.locPtr[0], k.extPtr[0]
 	for t, row := range k.rows {
-		dst[row] += k.value(t, x, ext)
+		lb, eb := k.locPtr[t+1], k.extPtr[t+1]
+		s := 0.0
+		val := k.locVal[la:lb]
+		for q, j := range k.locSrc[la:lb] {
+			s += val[q] * x[j]
+		}
+		val = k.extVal[ea:eb]
+		for q, j := range k.extSrc[ea:eb] {
+			s += val[q] * ext[j]
+		}
+		dst[row] += s
+		la, ea = lb, eb
 	}
 }
 
@@ -105,20 +102,13 @@ func (k *rowKernel) fillInto(dst, x, ext []float64) {
 	}
 }
 
-// addIntoBlock is the nrhs-wide addInto over column-blocked buffers: each
-// slot's nrhs values accumulate in acc (scratch, len >= nrhs) and are then
-// added to dst[rows[t]*nrhs : ...]. Going through acc keeps the per-column
-// floating-point order identical to value(), not just close.
+// addIntoBlock is the nrhs-wide addInto over column-blocked buffers (the
+// value of source j for column c sits at x[j*nrhs+c]): slot t's nrhs
+// values are added to dst[rows[t]*nrhs : ...].
 //
 //spmv:hotpath
-func (k *rowKernel) addIntoBlock(dst, x, ext []float64, nrhs int, acc []float64) {
-	for t, row := range k.rows {
-		k.valueBlock(t, x, ext, nrhs, acc)
-		out := dst[row*nrhs : (row+1)*nrhs]
-		for c := range out {
-			out[c] += acc[c]
-		}
-	}
+func (k *rowKernel) addIntoBlock(dst, x, ext []float64, nrhs int) {
+	k.blockInto(dst, x, ext, nrhs, true)
 }
 
 // fillIntoBlock is the nrhs-wide fillInto: slot t's nrhs values overwrite
@@ -126,8 +116,114 @@ func (k *rowKernel) addIntoBlock(dst, x, ext []float64, nrhs int, acc []float64)
 //
 //spmv:hotpath
 func (k *rowKernel) fillIntoBlock(dst, x, ext []float64, nrhs int) {
-	for t := range k.rows {
-		k.valueBlock(t, x, ext, nrhs, dst[t*nrhs:(t+1)*nrhs])
+	k.blockInto(dst, x, ext, nrhs, false)
+}
+
+// blockInto is the row loop under both. The columns of a slot are taken
+// eight at a time, then four, then singly, with the sums in locals, each
+// pass walking the slot's two runs again: per column, the nonzeros
+// accumulate in exactly the order value uses and reach dst in one
+// operation, so nrhs=1 reproduces the single-vector result bit for bit —
+// and a pass costs little more than value does, where a loop over the
+// columns inside the nonzero loop carries every sum through memory.
+//
+//spmv:hotpath
+func (k *rowKernel) blockInto(dst, x, ext []float64, nrhs int, add bool) {
+	for t, row := range k.rows {
+		if !add {
+			row = t
+		}
+		out := dst[row*nrhs : (row+1)*nrhs]
+		c := 0
+		for ; c+8 <= nrhs; c += 8 {
+			var a0, a1, a2, a3, a4, a5, a6, a7 float64
+			val := k.locVal[k.locPtr[t]:k.locPtr[t+1]]
+			for q, j := range k.locSrc[k.locPtr[t]:k.locPtr[t+1]] {
+				v, xs := val[q], x[j*nrhs+c:j*nrhs+c+8]
+				a0 += v * xs[0]
+				a1 += v * xs[1]
+				a2 += v * xs[2]
+				a3 += v * xs[3]
+				a4 += v * xs[4]
+				a5 += v * xs[5]
+				a6 += v * xs[6]
+				a7 += v * xs[7]
+			}
+			val = k.extVal[k.extPtr[t]:k.extPtr[t+1]]
+			for q, j := range k.extSrc[k.extPtr[t]:k.extPtr[t+1]] {
+				v, xs := val[q], ext[j*nrhs+c:j*nrhs+c+8]
+				a0 += v * xs[0]
+				a1 += v * xs[1]
+				a2 += v * xs[2]
+				a3 += v * xs[3]
+				a4 += v * xs[4]
+				a5 += v * xs[5]
+				a6 += v * xs[6]
+				a7 += v * xs[7]
+			}
+			o := out[c : c+8]
+			if add {
+				a0, a1, a2, a3 = o[0]+a0, o[1]+a1, o[2]+a2, o[3]+a3
+				a4, a5, a6, a7 = o[4]+a4, o[5]+a5, o[6]+a6, o[7]+a7
+			}
+			o[0], o[1], o[2], o[3] = a0, a1, a2, a3
+			o[4], o[5], o[6], o[7] = a4, a5, a6, a7
+		}
+		for ; c+4 <= nrhs; c += 4 {
+			var a0, a1, a2, a3 float64
+			val := k.locVal[k.locPtr[t]:k.locPtr[t+1]]
+			for q, j := range k.locSrc[k.locPtr[t]:k.locPtr[t+1]] {
+				v, xs := val[q], x[j*nrhs+c:j*nrhs+c+4]
+				a0 += v * xs[0]
+				a1 += v * xs[1]
+				a2 += v * xs[2]
+				a3 += v * xs[3]
+			}
+			val = k.extVal[k.extPtr[t]:k.extPtr[t+1]]
+			for q, j := range k.extSrc[k.extPtr[t]:k.extPtr[t+1]] {
+				v, xs := val[q], ext[j*nrhs+c:j*nrhs+c+4]
+				a0 += v * xs[0]
+				a1 += v * xs[1]
+				a2 += v * xs[2]
+				a3 += v * xs[3]
+			}
+			o := out[c : c+4]
+			if add {
+				a0, a1, a2, a3 = o[0]+a0, o[1]+a1, o[2]+a2, o[3]+a3
+			}
+			o[0], o[1], o[2], o[3] = a0, a1, a2, a3
+		}
+		for ; c < nrhs; c++ {
+			s := 0.0
+			val := k.locVal[k.locPtr[t]:k.locPtr[t+1]]
+			for q, j := range k.locSrc[k.locPtr[t]:k.locPtr[t+1]] {
+				s += val[q] * x[j*nrhs+c]
+			}
+			val = k.extVal[k.extPtr[t]:k.extPtr[t+1]]
+			for q, j := range k.extSrc[k.extPtr[t]:k.extPtr[t+1]] {
+				s += val[q] * ext[j*nrhs+c]
+			}
+			if add {
+				s = out[c] + s
+			}
+			out[c] = s
+		}
+	}
+}
+
+// each calls f for every nonzero of k in slot order — per slot the local
+// run, then the external run — in the build-time encoding compileRows
+// takes (external sources as -(slot+1)). The lazy transpose compiles walk
+// the forward own kernel with it, so the build-time nonzero list need not
+// be kept.
+func (k *rowKernel) each(f func(localNZ)) {
+	for t, row := range k.rows {
+		for q := k.locPtr[t]; q < k.locPtr[t+1]; q++ {
+			f(localNZ{row: row, src: k.locSrc[q], val: k.locVal[q]})
+		}
+		for q := k.extPtr[t]; q < k.extPtr[t+1]; q++ {
+			f(localNZ{row: row, src: -(k.extSrc[q] + 1), val: k.extVal[q]})
+		}
 	}
 }
 
@@ -204,67 +300,97 @@ func (a *valArena) take(n int) []float64 {
 	return s
 }
 
-// sendPlan is one precompiled outgoing packet: fixed destination and index
-// arrays, value buffers refilled per call. The packet's yIdx aliases
-// grp.rows. bufB is the packet's nrhs-wide twin, sized lazily by
-// ensureBlock and sharing the same fixed index arrays — a multi-RHS
-// multiply still emits exactly one packet per peer per phase.
-type sendPlan struct {
-	dest int
-	xIdx []int
-	grp  rowKernel
-	buf  packet
-	bufB packet
+// payload is the value half of a packet: the x entries and partial y
+// results of one message, single-vector and (sized lazily by ensureBlock)
+// nrhs-wide. The sender's fill step writes it; after the barrier the
+// receiver's bank reads it in place.
+type payload struct {
+	xVal, yVal   []float64
+	xValB, yValB []float64
 }
 
-func newSendPlan(from, dest int, xIdx []int, grp rowKernel, arena *valArena) *sendPlan {
+// words is the packet's size in vector entries per right-hand side.
+func (p *payload) words() int { return len(p.xVal) + len(p.yVal) }
+
+// ensureBlock (re)sizes the nrhs-wide twins. Growth reallocates;
+// shrinking re-slices the existing backing arrays, so alternating between
+// a large and a small nrhs allocates only once.
+func (p *payload) ensureBlock(nrhs int) {
+	p.xValB = growBlock(p.xValB, len(p.xVal)*nrhs)
+	p.yValB = growBlock(p.yValB, len(p.yVal)*nrhs)
+}
+
+// sendPlan is one precompiled outgoing packet: fixed destination and index
+// arrays, payload refilled per call. A multi-RHS multiply still emits
+// exactly one packet per peer per phase.
+type sendPlan struct {
+	dest int
+	xIdx []int     // x entries shipped verbatim
+	grp  rowKernel // partial results shipped; grp.rows are their y indices
+	payload
+}
+
+func newSendPlan(dest int, xIdx []int, grp rowKernel, arena *valArena) *sendPlan {
 	sp := &sendPlan{dest: dest, xIdx: xIdx, grp: grp}
-	sp.buf = packet{
-		from: from,
-		xIdx: xIdx,
-		xVal: arena.take(len(xIdx)),
-		yIdx: grp.rows,
-		yVal: arena.take(len(grp.rows)),
-	}
+	sp.xVal = arena.take(len(xIdx))
+	sp.yVal = arena.take(len(grp.rows))
 	return sp
 }
 
-// fill refreshes the packet's value arrays from the current x (and the
-// proc's external buffer for two-phase fold groups) under the given
+// fill refreshes the packet's payload from the job's x (and ext, the
+// processor's external buffer, for two-phase fold groups) under the job's
 // kernel backend. Send groups never use the sorted layout — their slot
-// order is the packet payload order the receivers were compiled against
-// — so kid only selects between the scalar and relaxed loops here.
+// order is the payload order the receivers were compiled against — so
+// kid only selects between the scalar and relaxed loops here.
 //
 //spmv:hotpath
-func (sp *sendPlan) fill(kid kernelID, x, ext []float64) {
-	for t, j := range sp.xIdx {
-		sp.buf.xVal[t] = x[j]
+func (sp *sendPlan) fill(j *job, ext []float64) {
+	if n := j.nrhs; n > 0 {
+		for t, i := range sp.xIdx {
+			copy(sp.xValB[t*n:(t+1)*n], j.x[i*n:(i+1)*n])
+		}
+		sp.grp.fillIntoBlockK(j.kid, sp.yValB, j.x, ext, n)
+		return
 	}
-	sp.grp.fillIntoK(kid, sp.buf.yVal, x, ext)
+	for t, i := range sp.xIdx {
+		sp.xVal[t] = j.x[i]
+	}
+	sp.grp.fillIntoK(j.kid, sp.yVal, j.x, ext)
 }
 
-// ensureBlock (re)sizes the nrhs-wide packet buffers. Growth reallocates;
-// shrinking re-slices the existing backing arrays, so alternating between
-// a large and a small nrhs allocates only once.
-func (sp *sendPlan) ensureBlock(nrhs int) {
-	sp.bufB = packet{
-		from: sp.buf.from,
-		xIdx: sp.xIdx,
-		xVal: growBlock(sp.bufB.xVal, len(sp.xIdx)*nrhs),
-		yIdx: sp.grp.rows,
-		yVal: growBlock(sp.bufB.yVal, len(sp.grp.rows)*nrhs),
-	}
+// recvLink is one incoming packet as its receiver reads it.
+type recvLink struct {
+	peer int // the sending processor
+	from *payload
+	xTo  []int // xVal[t] overwrites xDst[xTo[t]]
+	yTo  []int // yVal[t] accumulates into yDst[yTo[t]]
 }
 
-// fillBlock refreshes the nrhs-wide packet from column-blocked x/ext
-// under the given kernel backend (see fill for the layout caveat).
+// bank delivers links in order: x entries overwrite their slots of xDst,
+// partial results accumulate into yDst. nrhs = 0 reads the single-vector
+// payloads, nrhs > 0 the nrhs-wide ones into column-blocked buffers.
 //
 //spmv:hotpath
-func (sp *sendPlan) fillBlock(kid kernelID, x, ext []float64, nrhs int) {
-	for t, j := range sp.xIdx {
-		copy(sp.bufB.xVal[t*nrhs:(t+1)*nrhs], x[j*nrhs:(j+1)*nrhs])
+func bank(links []recvLink, xDst, yDst []float64, nrhs int) {
+	for i := range links {
+		l := &links[i]
+		if nrhs > 0 {
+			for t, s := range l.xTo {
+				copy(xDst[s*nrhs:(s+1)*nrhs], l.from.xValB[t*nrhs:(t+1)*nrhs])
+			}
+			for t, s := range l.yTo {
+				addBlock(yDst[s*nrhs:(s+1)*nrhs], l.from.yValB[t*nrhs:(t+1)*nrhs])
+			}
+			continue
+		}
+		xv, yv := l.from.xVal, l.from.yVal
+		for t, s := range l.xTo {
+			xDst[s] = xv[t]
+		}
+		for t, s := range l.yTo {
+			yDst[s] += yv[t]
+		}
 	}
-	sp.grp.fillIntoBlockK(kid, sp.bufB.yVal, x, ext, nrhs)
 }
 
 // growBlock returns s re-sliced to n entries, reallocating only when the
@@ -276,219 +402,9 @@ func growBlock(s []float64, n int) []float64 {
 	return s[:n]
 }
 
-// recvPlan stashes one phase's incoming packets by sender ordinal so they
-// are processed in ascending sender order regardless of arrival order.
-type recvPlan struct {
-	ord  map[int]int
-	pend []packet
-	seen []bool
-}
-
-func newRecvPlan(senders []int) recvPlan {
-	r := recvPlan{
-		ord:  make(map[int]int, len(senders)),
-		pend: make([]packet, len(senders)),
-		seen: make([]bool, len(senders)),
-	}
-	for t, s := range senders {
-		r.ord[s] = t
-	}
-	return r
-}
-
-// gather receives until every expected sender has delivered one packet
-// and returns them ordered by sender. Counting senders rather than raw
-// packets matters under fault containment: a panicked worker floods a
-// release packet into every inbox of both phases (fault.go), including
-// inboxes whose gather does not expect that worker in that phase. If a
-// raw count admitted such a packet, the barrier would complete early
-// with a stale pend entry from the previous dispatch — aliasing a send
-// buffer its owner is concurrently rewriting. Packets from unexpected
-// or already-seen senders are therefore dropped; the 2K inbox capacity
-// absorbs anything left unconsumed on a poisoned engine. The returned
-// slice is reused across calls.
-//
-//spmv:hotpath
-func (r *recvPlan) gather(ch <-chan packet) []packet {
-	for n := 0; n < len(r.pend); {
-		pk := <-ch
-		t, ok := r.ord[pk.from]
-		if !ok || r.seen[t] {
-			continue
-		}
-		r.seen[t] = true
-		r.pend[t] = pk
-		n++
-	}
-	for t := range r.seen {
-		r.seen[t] = false
-	}
-	return r.pend
-}
-
 // sortedKeys returns m's keys in ascending order — every send loop
 // iterates destinations through this, which is what makes packet emission
 // deterministic.
 func sortedKeys[V any](m map[int]V) []int {
 	return slices.Sorted(maps.Keys(m))
-}
-
-// workerPool is the persistent-worker barrier shared by Engine and
-// RoutedEngine: K goroutines parked on per-worker start channels, a
-// WaitGroup to collect them, and the per-call x/y (plus the block width
-// for multi-RHS calls and the transpose direction) published through the
-// pool. dispatch performs no heap allocations.
-//
-// A panic inside a worker is contained, not fatal: the worker records it,
-// calls release(i) so its peers' gathers complete (see fault.go), and the
-// dispatch returns a typed *EngineFaultError with the pool poisoned
-// against further dispatches.
-type workerPool struct {
-	x, y      []float64
-	nrhs      int  // 0 = single-vector call, >0 = column-blocked SpMM
-	transpose bool // run the y ← Aᵀx plan instead of y ← Ax
-	start     []chan struct{}
-	done      sync.WaitGroup
-	closeOnce sync.Once
-	closed    atomic.Bool
-
-	// hook wraps an injectable per-worker fault hook (see
-	// WorkerFaultHooker); stored boxed because atomic.Value cannot hold a
-	// bare nil.
-	hook atomic.Value // of hookBox
-
-	poisoned atomic.Bool
-	faultMu  sync.Mutex
-	faults   []WorkerPanic
-}
-
-type hookBox struct{ f func(worker int) }
-
-func (p *workerPool) setHook(h func(worker int)) { p.hook.Store(hookBox{f: h}) }
-
-// launch spawns n workers; each waits for a start signal, executes run
-// with the published vectors (nrhs = 0 for Multiply, the block width for
-// MultiplyBlock; transpose selects the Aᵀx plan), and reports done.
-// release, when non-nil, is invoked after a contained worker panic to
-// unblock the panicked worker's peers.
-func (p *workerPool) launch(n int, run func(i int, x, y []float64, nrhs int, transpose bool), release func(i int)) {
-	p.start = make([]chan struct{}, n)
-	for i := 0; i < n; i++ {
-		ch := make(chan struct{}, 1)
-		p.start[i] = ch
-		go func(i int, ch chan struct{}) {
-			for range ch {
-				p.runContained(i, run, release)
-				p.done.Done()
-			}
-		}(i, ch)
-	}
-}
-
-// runContained executes one worker turn with panic containment: a panic
-// anywhere in the plan (or the injected fault hook) is recorded, the
-// pool is poisoned, and the worker's peers are released so the dispatch
-// barrier still closes. The worker goroutine itself survives, parked for
-// Close.
-func (p *workerPool) runContained(i int, run func(i int, x, y []float64, nrhs int, transpose bool), release func(i int)) {
-	defer func() {
-		if r := recover(); r != nil {
-			p.recordFault(i, r)
-			if release != nil {
-				// release must not take the barrier down with a secondary
-				// panic; the engine is already poisoned.
-				defer func() { _ = recover() }()
-				release(i)
-			}
-		}
-	}()
-	if hb, ok := p.hook.Load().(hookBox); ok && hb.f != nil {
-		hb.f(i)
-	}
-	run(i, p.x, p.y, p.nrhs, p.transpose)
-}
-
-// recordFault notes a contained worker panic and poisons the pool before
-// the dispatch barrier closes, so even a racing dispatcher observes it.
-func (p *workerPool) recordFault(worker int, v any) {
-	p.faultMu.Lock()
-	p.faults = append(p.faults, WorkerPanic{Worker: worker, Value: fmt.Sprint(v)})
-	p.faultMu.Unlock()
-	p.poisoned.Store(true)
-}
-
-// faultErr materializes the poisoned state as a typed error; nil while
-// healthy. The fast path is one atomic load.
-func (p *workerPool) faultErr(op string) error {
-	if !p.poisoned.Load() {
-		return nil
-	}
-	p.faultMu.Lock()
-	panics := append([]WorkerPanic(nil), p.faults...)
-	p.faultMu.Unlock()
-	return &EngineFaultError{Op: op, Panics: panics}
-}
-
-// opName names the dispatch variant for error messages.
-func opName(nrhs int, transpose bool) string {
-	switch {
-	case transpose && nrhs > 0:
-		return "MultiplyTransposeBlock"
-	case transpose:
-		return "MultiplyTranspose"
-	case nrhs > 0:
-		return "MultiplyBlock"
-	default:
-		return "Multiply"
-	}
-}
-
-// dispatch zeroes y, publishes the vectors, releases every worker, and
-// waits for all of them to finish.
-func (p *workerPool) dispatch(x, y []float64) error {
-	return p.dispatchOp(x, y, 0, false)
-}
-
-// dispatchBlock is dispatch with a published block width; nrhs = 0 runs
-// the single-vector plan.
-func (p *workerPool) dispatchBlock(x, y []float64, nrhs int) error {
-	return p.dispatchOp(x, y, nrhs, false)
-}
-
-// dispatchOp is the general dispatch: block width plus direction. It
-// returns *ClosedError after Close, and *EngineFaultError once a worker
-// panic has poisoned the pool — before running anything, so a poisoned
-// plan never executes over corrupted buffers.
-func (p *workerPool) dispatchOp(x, y []float64, nrhs int, transpose bool) error {
-	if p.closed.Load() {
-		// A sharing layer (refcounted pools, pipelines) that races Multiply
-		// against Close gets a typed error instead of the runtime's
-		// "send on closed channel" panic.
-		return &ClosedError{Op: opName(nrhs, transpose)}
-	}
-	if err := p.faultErr(opName(nrhs, transpose)); err != nil {
-		return err
-	}
-	for i := range y {
-		y[i] = 0
-	}
-	p.x, p.y, p.nrhs, p.transpose = x, y, nrhs, transpose
-	p.done.Add(len(p.start))
-	for _, ch := range p.start {
-		ch <- struct{}{}
-	}
-	p.done.Wait()
-	p.x, p.y = nil, nil
-	return p.faultErr(opName(nrhs, transpose))
-}
-
-// close releases the parked workers permanently; dispatch must not be
-// called afterwards. Closing twice is a no-op.
-func (p *workerPool) close() {
-	p.closeOnce.Do(func() {
-		p.closed.Store(true)
-		for _, ch := range p.start {
-			close(ch)
-		}
-	})
 }

@@ -18,36 +18,35 @@ import (
 //
 // Like Engine, the routed engine compiles its static schedule into a flat
 // plan at construction — dense routing buffers with fixed slot layouts and
-// precompiled forward packets — and executes it on persistent workers, so
-// steady-state Multiply is allocation- and goroutine-spawn-free.
+// precompiled forward packets — and executes it as three steps around two
+// barriers on the shared phase runner (exec.go), so steady-state Multiply
+// is allocation- and goroutine-spawn-free.
 type RoutedEngine struct {
 	d    *distrib.Distribution
 	mesh core.Mesh
 
 	rprocs []*rproc
-	pool   workerPool
+	run    runner
 
 	// Per-width-class kernel backend selection and the lazily derived
 	// sorted layouts (see kernel.go, autotune.go). The zero value runs
 	// the scalar reference kernels everywhere.
 	kernelState
 
-	// blockNRHS is the width the block buffers are currently sliced for
-	// (0 until the first MultiplyBlock); see ensureBlock in block.go.
-	blockNRHS int
+	// blockNRHS[dir] is the width direction dir's block buffers are
+	// currently sliced for (0 until its first block multiply); see
+	// ensureBlock in block.go.
+	blockNRHS [2]int
 	io        blockIO
 
 	// tready flips once the transpose plan is compiled (lazily, by the
-	// first MultiplyTranspose); tBlockNRHS is blockNRHS's transpose twin.
-	// See routed_transpose.go.
-	tready     bool
-	tBlockNRHS int
+	// first MultiplyTranspose). See routed_transpose.go.
+	tready bool
 }
 
 type rproc struct {
 	id int
 
-	ownRows   []localNZ         // nonzeros with local output row
 	preGroups map[int][]localNZ // x-local nonzeros grouped by final y owner
 
 	// Phase-1 x payloads: hop1X[mid] lists locally-owned x indices routed
@@ -60,80 +59,150 @@ type rproc struct {
 	phase1Dests map[int]struct{}
 	phase2Dests map[int]struct{}
 
-	extSlot map[int]int
-	extX    []float64
+	// extIdx[s] is the remote x index held in slot s of the forward
+	// plan's extX.
+	extIdx []int
 
-	inbox [2]chan packet
+	// The routing state is laid out densely: every x index this proc ever
+	// routes and every y row it ever combines has a fixed slot (xSlot,
+	// ySlot — retained so the transpose plan can address the buffers).
+	// Both directions share the buffers with their roles swapped — calls
+	// on one engine never overlap, so no copy is live across both — and
+	// their nrhs-wide twins, sized lazily by RoutedEngine.ensureBlock.
+	routeXVal, routeXValB []float64
+	routeYVal, routeYValB []float64
+	xSlot, ySlot          map[int]int
 
-	// Compiled plan. The routing state that used to live in per-call maps
-	// (routeX, routeY) is laid out densely: every x index this proc ever
-	// routes and every y row it ever combines has a fixed slot. ownS is
-	// own's sorted-slot twin, derived lazily once a sorted-layout backend
-	// is installed.
-	own       rowKernel
-	ownS      rowKernel
-	routeXVal []float64
-	routeYVal []float64
-	// selfX seeds routeXVal with locally-owned entries this proc forwards
-	// as its own intermediate; selfY accumulates self-routed partials into
-	// routeYVal slots.
-	selfX []slotIdx
-	selfY rowKernel
-	// Phase-1 packets to other intermediates, sorted by destination.
-	p1Sends []*sendPlan
-	// p1Recv[sender] translates that sender's fixed payload into routeXVal
-	// (and extX where this proc is the final consumer) and routeYVal slots.
-	p1Recv map[int]*routeRecv
-	// Phase-2 forwards, sorted by destination: values gathered from the
-	// dense routing buffers.
-	p2Sends []*fwdPlan
-	// p2Recv[sender] maps the t-th forwarded x entry to an extX slot.
-	p2Recv map[int][]int
-	// Rows whose final owner is this proc, folded straight from routeYVal.
-	yLocalRows []int
-	yLocalSlot []int
-	recv       [2]recvPlan
-
-	// Block (multi-RHS) twins of the per-call buffers, sized lazily by
-	// RoutedEngine.ensureBlock: nrhs values per slot of extX and the dense
-	// routing buffers, plus the block kernels' accumulator scratch.
-	extXB      []float64
-	routeXValB []float64
-	routeYValB []float64
-	accB       []float64
-
-	// Dense slot layouts retained from compile so the transpose plan can
-	// address the routing buffers: xSlot maps a routed x column index to
-	// its routeXVal slot, ySlot a combined y row to its routeYVal slot.
-	xSlot map[int]int
-	ySlot map[int]int
-
-	// Compiled transpose plan (y ← Aᵀx), built lazily on the first
-	// MultiplyTranspose; see routed_transpose.go.
-	t *rtproc
+	fwd rplan
+	// t is the compiled transpose plan (y ← Aᵀx), built lazily on the
+	// first MultiplyTranspose; see routed_transpose.go.
+	t *rplan
 }
 
+// plan returns the processor's compiled plan for one direction.
+func (pr *rproc) plan(transpose bool) *rplan {
+	if transpose {
+		return pr.t
+	}
+	return &pr.fwd
+}
+
+// rplan is one virtual processor's compiled two-hop plan for one
+// direction. rx names the routing buffer that carries routed x values
+// (written once per slot), ry the one that combines partial results
+// (zeroed, then accumulated): routeXVal and routeYVal forward, swapped
+// in the transpose.
+type rplan struct {
+	extX []float64
+	// own computes the locally-owned outputs; ownS is its sorted-slot
+	// twin, derived lazily once a sorted-layout backend is installed.
+	own, ownS rowKernel
+
+	// seedX loads rx with the locally-owned x entries this proc routes as
+	// its own intermediate (never shipped in hop 1); selfK accumulates the
+	// self-routed partials into ry (its rows are ry slots, it reads local
+	// x only).
+	seedX []slotIdx
+	selfK rowKernel
+	// hop1 are the packets to other intermediates, sorted by destination;
+	// recv1 banks the incoming ones into rx and ry.
+	hop1  []*sendPlan
+	recv1 []recvLink
+	// toExt copies the routed x values this proc itself consumes out of
+	// rx into extX once hop 1 has landed.
+	toExt []slotIdx
+	// hop2 are the forwards to final destinations, sorted by destination,
+	// gathered from rx and ry; localY folds the combined partials this
+	// proc owns straight out of ry; recv2 banks the incoming forwards
+	// into extX and y.
+	hop2   []*fwdPlan
+	localY []slotIdx
+	recv2  []recvLink
+
+	// extXB is the block (multi-RHS) twin of extX, sized lazily by
+	// ensureBlock.
+	extXB []float64
+}
+
+// slotIdx pairs a routing-buffer slot with an index of a vector (x, y or
+// extX).
 type slotIdx struct{ slot, idx int }
 
-type routeRecv struct {
-	xRoute []int
-	xExt   []int // extX slot or -1
-	ySlot  []int
-}
-
-// fwdPlan is a precompiled phase-2 packet: fixed index arrays, values
-// gathered from the sender's dense routing buffers each call. bufB is the
-// nrhs-wide twin sized by ensureBlock.
+// fwdPlan is a precompiled hop-2 packet: fixed slot arrays, payload
+// gathered from the sender's dense routing buffers each call. rows are
+// the y indices its partials are for.
 type fwdPlan struct {
 	dest  int
 	xSlot []int
 	ySlot []int
-	buf   packet
-	bufB  packet
+	rows  []int
+	payload
+}
+
+// gather refreshes the packet from the routing buffers.
+//
+//spmv:hotpath
+func (fp *fwdPlan) gather(rx, ry []float64, nrhs int) {
+	if n := nrhs; n > 0 {
+		for t, s := range fp.xSlot {
+			copy(fp.xValB[t*n:(t+1)*n], rx[s*n:(s+1)*n])
+		}
+		for t, s := range fp.ySlot {
+			copy(fp.yValB[t*n:(t+1)*n], ry[s*n:(s+1)*n])
+		}
+		return
+	}
+	for t, s := range fp.xSlot {
+		fp.xVal[t] = rx[s]
+	}
+	for t, s := range fp.ySlot {
+		fp.yVal[t] = ry[s]
+	}
+}
+
+// seedSlots loads route[slot] ← vec[idx] for every pair.
+//
+//spmv:hotpath
+func seedSlots(route, vec []float64, ps []slotIdx, nrhs int) {
+	if n := nrhs; n > 0 {
+		for _, p := range ps {
+			copy(route[p.slot*n:(p.slot+1)*n], vec[p.idx*n:(p.idx+1)*n])
+		}
+		return
+	}
+	for _, p := range ps {
+		route[p.slot] = vec[p.idx]
+	}
+}
+
+// drainSlots stores (add false) or accumulates (add true) vec[idx] ←
+// route[slot] for every pair.
+//
+//spmv:hotpath
+func drainSlots(vec, route []float64, ps []slotIdx, nrhs int, add bool) {
+	switch n := nrhs; {
+	case n > 0 && add:
+		for _, p := range ps {
+			addBlock(vec[p.idx*n:(p.idx+1)*n], route[p.slot*n:(p.slot+1)*n])
+		}
+	case n > 0:
+		for _, p := range ps {
+			copy(vec[p.idx*n:(p.idx+1)*n], route[p.slot*n:(p.slot+1)*n])
+		}
+	case add:
+		for _, p := range ps {
+			vec[p.idx] += route[p.slot]
+		}
+	default:
+		for _, p := range ps {
+			vec[p.idx] = route[p.slot]
+		}
+	}
 }
 
 // NewRoutedEngine builds the two-hop schedule for a fused s2D distribution
-// on the given mesh, compiles it, and starts the persistent workers.
+// on the given mesh, compiles it, and parks the engine's helper
+// executors.
 //
 //spmv:deterministic
 func NewRoutedEngine(d *distrib.Distribution, mesh core.Mesh) (*RoutedEngine, error) {
@@ -156,15 +225,14 @@ func NewRoutedEngine(d *distrib.Distribution, mesh core.Mesh) (*RoutedEngine, er
 			hop2X:       make(map[int][]int),
 			phase1Dests: make(map[int]struct{}),
 			phase2Dests: make(map[int]struct{}),
-			extSlot:     make(map[int]int),
-			p1Recv:      make(map[int]*routeRecv),
-			p2Recv:      make(map[int][]int),
 		}
-		// Capacity 2K: sends never block even when fault containment
-		// floods one release packet per worker on top of the at most one
-		// real packet per sender per phase (see fault.go).
-		e.rprocs[i].inbox[0] = make(chan packet, 2*d.K)
-		e.rprocs[i].inbox[1] = make(chan packet, 2*d.K)
+	}
+	// Build-time state the compiled plan replaces: each processor's
+	// output-local nonzeros and its remote-x slot assignment.
+	own := make([][]localNZ, d.K)
+	extSlot := make([]map[int]int, d.K)
+	for i := range extSlot {
+		extSlot[i] = make(map[int]int)
 	}
 
 	// Per (owner, dest) x needs, as in the fused engine.
@@ -176,23 +244,23 @@ func NewRoutedEngine(d *distrib.Distribution, mesh core.Mesh) (*RoutedEngine, er
 			return
 		}
 		yOwner := d.YPart[i]
-		pr := e.rprocs[o]
 		switch {
 		case o == yOwner && o == d.XPart[j]:
-			pr.ownRows = append(pr.ownRows, localNZ{row: i, src: j, val: v})
+			own[o] = append(own[o], localNZ{row: i, src: j, val: v})
 		case o == yOwner:
 			key := pair{from: d.XPart[j], to: o}
 			if xWant[key] == nil {
 				xWant[key] = make(map[int]struct{})
 			}
 			xWant[key][j] = struct{}{}
-			s, ok := pr.extSlot[j]
+			s, ok := extSlot[o][j]
 			if !ok {
-				s = len(pr.extSlot)
-				pr.extSlot[j] = s
+				s = len(extSlot[o])
+				extSlot[o][j] = s
 			}
-			pr.ownRows = append(pr.ownRows, localNZ{row: i, src: -(s + 1), val: v})
+			own[o] = append(own[o], localNZ{row: i, src: -(s + 1), val: v})
 		case o == d.XPart[j]:
+			pr := e.rprocs[o]
 			pr.preGroups[yOwner] = append(pr.preGroups[yOwner], localNZ{row: i, src: j, val: v})
 		default:
 			s2dErr = fmt.Errorf("spmv: nonzero (%d,%d) violates s2D", i, j)
@@ -245,34 +313,18 @@ func NewRoutedEngine(d *distrib.Distribution, mesh core.Mesh) (*RoutedEngine, er
 			}
 		}
 	}
-	for _, pr := range e.rprocs {
-		pr.extX = make([]float64, len(pr.extSlot))
-	}
 
-	e.compile()
-	e.pool.launch(len(e.rprocs), func(i int, x, y []float64, nrhs int, transpose bool) {
-		pr := e.rprocs[i]
-		// curKern is written by the dispatcher before the start-channel
-		// send, so this read is ordered after it.
-		kid := e.curKern
-		switch {
-		case transpose && nrhs > 0:
-			e.runTBlock(pr, x, y, nrhs, kid)
-		case transpose:
-			e.runT(pr, x, y, kid)
-		case nrhs > 0:
-			e.runBlock(pr, x, y, nrhs, kid)
-		default:
-			e.run(pr, x, y, kid)
-		}
-	}, e.releasePeers)
+	e.compile(own, extSlot)
+	e.run.start(d.K, e)
 	return e, nil
 }
 
-// compile lowers the routing schedule to the dense execution plan.
+// compile lowers the routing schedule to the dense forward plan. own and
+// extSlot are the build-time nonzero lists and remote-x slot maps; the
+// plan keeps neither.
 //
 //spmv:deterministic
-func (e *RoutedEngine) compile() {
+func (e *RoutedEngine) compile(own [][]localNZ, extSlot []map[int]int) {
 	mesh := e.mesh
 	// midNZ[p][mid]: p's precompute nonzeros routed via mid (mid may be p
 	// itself for same-mesh-row destinations).
@@ -288,12 +340,12 @@ func (e *RoutedEngine) compile() {
 		}
 	}
 
-	// Per-proc slot layouts, kept for the receive-translation pass below.
-	xSlots := make([]map[int]int, len(e.rprocs))
-	ySlots := make([]map[int]int, len(e.rprocs))
-
 	for _, pr := range e.rprocs {
-		pr.own = compileRows(pr.ownRows)
+		pl := &pr.fwd
+		pr.extIdx = invertSlots(extSlot[pr.id])
+		pl.extX = make([]float64, len(pr.extIdx))
+		pl.own = compileRows(own[pr.id])
+		own[pr.id] = nil
 
 		// Dense routed-x layout: everything this proc forwards in phase 2
 		// plus everything arriving in phase 1.
@@ -309,7 +361,6 @@ func (e *RoutedEngine) compile() {
 		for t, j := range xIdxs {
 			xSlot[j] = t
 		}
-		xSlots[pr.id] = xSlot
 		pr.xSlot = xSlot
 		pr.routeXVal = make([]float64, len(xIdxs))
 
@@ -326,7 +377,6 @@ func (e *RoutedEngine) compile() {
 		for t, r := range yRows {
 			ySlot[r] = t
 		}
-		ySlots[pr.id] = ySlot
 		pr.ySlot = ySlot
 		pr.routeYVal = make([]float64, len(yRows))
 
@@ -335,17 +385,17 @@ func (e *RoutedEngine) compile() {
 		for _, idxs := range pr.hop2X {
 			for _, j := range idxs {
 				if e.d.XPart[j] == pr.id {
-					pr.selfX = append(pr.selfX, slotIdx{slot: xSlot[j], idx: j})
+					pl.seedX = append(pl.seedX, slotIdx{slot: xSlot[j], idx: j})
 				}
 			}
 		}
-		sort.Slice(pr.selfX, func(a, b int) bool { return pr.selfX[a].slot < pr.selfX[b].slot })
-		pr.selfX = dedupSelfX(pr.selfX)
+		sort.Slice(pl.seedX, func(a, b int) bool { return pl.seedX[a].slot < pl.seedX[b].slot })
+		pl.seedX = dedupSelfX(pl.seedX)
 
 		// Self-routed partials accumulate straight into routeYVal.
-		pr.selfY = compileRows(midNZ[pr.id][pr.id])
-		for t, r := range pr.selfY.rows {
-			pr.selfY.rows[t] = ySlot[r]
+		pl.selfK = compileRows(midNZ[pr.id][pr.id])
+		for t, r := range pl.selfK.rows {
+			pl.selfK.rows[t] = ySlot[r]
 		}
 
 		// Phase-1 packets, sorted by intermediate.
@@ -358,7 +408,7 @@ func (e *RoutedEngine) compile() {
 		}
 		arena := newValArena(words)
 		for t, mid := range mids {
-			pr.p1Sends = append(pr.p1Sends, newSendPlan(pr.id, mid, pr.hop1X[mid], grps[t], arena))
+			pl.hop1 = append(pl.hop1, newSendPlan(mid, pr.hop1X[mid], grps[t], arena))
 		}
 
 		// Phase-2 forwards, sorted by destination: x from hop2X, y from the
@@ -375,80 +425,57 @@ func (e *RoutedEngine) compile() {
 		}
 		arena = newValArena(words)
 		for _, dst := range sortedKeys(pr.phase2Dests) {
-			fp := &fwdPlan{dest: dst}
+			fp := &fwdPlan{dest: dst, rows: destRows[dst]}
 			xIdx := pr.hop2X[dst]
 			fp.xSlot = make([]int, len(xIdx))
 			for t, j := range xIdx {
 				fp.xSlot[t] = xSlot[j]
 			}
-			rows := destRows[dst]
-			fp.ySlot = make([]int, len(rows))
-			for t, r := range rows {
+			fp.ySlot = make([]int, len(fp.rows))
+			for t, r := range fp.rows {
 				fp.ySlot[t] = ySlot[r]
 			}
-			fp.buf = packet{
-				from: pr.id,
-				xIdx: xIdx,
-				xVal: arena.take(len(xIdx)),
-				yIdx: rows,
-				yVal: arena.take(len(rows)),
-			}
-			pr.p2Sends = append(pr.p2Sends, fp)
+			fp.xVal, fp.yVal = arena.take(len(xIdx)), arena.take(len(fp.rows))
+			pl.hop2 = append(pl.hop2, fp)
 		}
 
 		// Rows folded locally.
 		for _, r := range yRows {
 			if e.d.YPart[r] == pr.id {
-				pr.yLocalRows = append(pr.yLocalRows, r)
-				pr.yLocalSlot = append(pr.yLocalSlot, ySlot[r])
+				pl.localY = append(pl.localY, slotIdx{slot: ySlot[r], idx: r})
 			}
 		}
 	}
 
-	// Receive translations: each sender's fixed payload is known, so the
-	// receiver precomputes slot arrays instead of doing per-word map
-	// lookups at run time.
-	for _, pr := range e.rprocs {
-		var p1Senders, p2Senders []int
-		for _, s := range e.rprocs {
-			if s.id == pr.id {
-				continue
-			}
-			if _, ok := s.phase1Dests[pr.id]; ok {
-				p1Senders = append(p1Senders, s.id)
-				tr := &routeRecv{}
-				idxs := s.hop1X[pr.id]
-				tr.xRoute = make([]int, len(idxs))
-				tr.xExt = make([]int, len(idxs))
-				for t, j := range idxs {
-					tr.xRoute[t] = xSlots[pr.id][j]
-					if slot, ok := pr.extSlot[j]; ok {
-						tr.xExt[t] = slot
-					} else {
-						tr.xExt[t] = -1
-					}
+	// Static receive lists: each sender's fixed payload is known, so the
+	// receiver reads it in place through precomputed slot arrays instead
+	// of doing per-word map lookups at run time. Walking senders in
+	// ascending order leaves every list sender-ordered.
+	for _, s := range e.rprocs {
+		for _, sp := range s.fwd.hop1 {
+			pr := e.rprocs[sp.dest]
+			l := recvLink{peer: s.id, from: &sp.payload, xTo: make([]int, len(sp.xIdx)), yTo: make([]int, len(sp.grp.rows))}
+			for t, j := range sp.xIdx {
+				l.xTo[t] = pr.xSlot[j]
+				// An x value whose final destination is this very processor
+				// lands in extX too.
+				if slot, ok := extSlot[pr.id][j]; ok {
+					pr.fwd.toExt = append(pr.fwd.toExt, slotIdx{slot: l.xTo[t], idx: slot})
 				}
-				rows := compiledGroupRows(midNZ[s.id][pr.id])
-				tr.ySlot = make([]int, len(rows))
-				for t, r := range rows {
-					tr.ySlot[t] = ySlots[pr.id][r]
-				}
-				pr.p1Recv[s.id] = tr
 			}
-			if _, ok := s.phase2Dests[pr.id]; ok {
-				p2Senders = append(p2Senders, s.id)
-				idxs := s.hop2X[pr.id]
-				slots := make([]int, len(idxs))
-				for t, j := range idxs {
-					slots[t] = pr.extSlot[j]
-				}
-				pr.p2Recv[s.id] = slots
+			for t, r := range sp.grp.rows {
+				l.yTo[t] = pr.ySlot[r] // combining: same y_i from many sources
 			}
+			pr.fwd.recv1 = append(pr.fwd.recv1, l)
 		}
-		sort.Ints(p1Senders)
-		sort.Ints(p2Senders)
-		pr.recv[0] = newRecvPlan(p1Senders)
-		pr.recv[1] = newRecvPlan(p2Senders)
+		for _, fp := range s.fwd.hop2 {
+			pr := e.rprocs[fp.dest]
+			l := recvLink{peer: s.id, from: &fp.payload, xTo: make([]int, len(fp.xSlot)), yTo: fp.rows}
+			for t, j := range s.hop2X[fp.dest] {
+				l.xTo[t] = extSlot[pr.id][j]
+			}
+			pr.fwd.recv2 = append(pr.fwd.recv2, l)
+		}
 	}
 }
 
@@ -473,75 +500,83 @@ func dedupSorted(xs []int) []int {
 	return out
 }
 
-// Close parks the routed engine permanently; like Engine.Close it is
-// idempotent, and Multiply after Close returns a typed *ClosedError.
-func (e *RoutedEngine) Close() { e.pool.close() }
+// Close stops the routed engine's helper executors; like Engine.Close it
+// is idempotent, and Multiply after Close returns a typed *ClosedError.
+func (e *RoutedEngine) Close() { e.run.close() }
 
 // Multiply computes y ← Ax with the routed two-phase schedule. It
 // returns *ClosedError after Close and *EngineFaultError once a
-// contained worker panic has poisoned the engine.
+// contained processor panic has poisoned the engine.
 func (e *RoutedEngine) Multiply(x, y []float64) error {
-	a := e.d.A
-	if len(x) != a.Cols || len(y) != a.Rows {
-		panic("spmv: dimension mismatch")
-	}
-	e.curKern = e.sel.forWidth(1)
-	return e.pool.dispatch(x, y)
+	checkDims(x, y, e.d.A.Cols, e.d.A.Rows)
+	return e.dispatch(x, y, 0, false)
 }
 
+// dispatch runs one multiply of any surface; see Engine.dispatch.
+func (e *RoutedEngine) dispatch(x, y []float64, nrhs int, transpose bool) error {
+	if transpose {
+		e.ensureTranspose()
+	}
+	if nrhs > 0 {
+		e.ensureBlock(nrhs, transpose)
+	}
+	return e.run.multiply(job{
+		x: x, y: y, nrhs: nrhs, transpose: transpose,
+		kid: e.sel.forWidth(max(nrhs, 1)), steps: 3,
+	}, e.d.A.NNZ())
+}
+
+// step executes step s of virtual processor vp: three steps around the
+// two barriers of the two hops. Step 0 seeds the routing buffers with the
+// self-routed payloads and fills the hop-1 packets; step 1 combines the
+// incoming ones into the dense routing buffers, fills the hop-2 forwards
+// from them and folds the rows this proc owns straight out of ry; step 2
+// banks the incoming forwards and computes the local rows. The transpose
+// runs the same steps over its own plan with the routing buffers' roles
+// swapped. selfK's rows index routing slots, not packet positions, so the
+// relaxed loops may run there; the sorted layout never applies (it is
+// derived only for the own compute kernels).
+//
 //spmv:hotpath
-func (e *RoutedEngine) run(pr *rproc, x, y []float64, kid kernelID) {
-	for i := range pr.routeYVal {
-		pr.routeYVal[i] = 0
+func (e *RoutedEngine) step(s, vp int, j *job) {
+	pr, n := e.rprocs[vp], j.nrhs
+	pl, rx, ry := pr.plan(j.transpose), pr.routeXVal, pr.routeYVal
+	if n > 0 {
+		rx, ry = pr.routeXValB, pr.routeYValB
 	}
-	// Seed the routing buffers with self-routed payloads.
-	for _, s := range pr.selfX {
-		pr.routeXVal[s.slot] = x[s.idx]
+	if j.transpose {
+		rx, ry = ry, rx
 	}
-	pr.selfY.addIntoK(kid, pr.routeYVal, x, nil)
-	// Phase 1 sends.
-	for _, sp := range pr.p1Sends {
-		sp.fill(kid, x, nil)
-		e.rprocs[sp.dest].inbox[0] <- sp.buf
+	ext := pl.extX
+	if n > 0 {
+		ext = pl.extXB
 	}
-	// Phase 1 receives: combine into the dense routing buffers. An x value
-	// whose final destination is this very processor lands in extX too.
-	for _, pk := range pr.recv[0].gather(pr.inbox[0]) {
-		tr := pr.p1Recv[pk.from]
-		for t, v := range pk.xVal {
-			pr.routeXVal[tr.xRoute[t]] = v
-			if s := tr.xExt[t]; s >= 0 {
-				pr.extX[s] = v
-			}
+	switch s {
+	case 0:
+		clear(ry)
+		seedSlots(rx, j.x, pl.seedX, n)
+		if n > 0 {
+			pl.selfK.addIntoBlockK(j.kid, ry, j.x, nil, n)
+		} else {
+			pl.selfK.addIntoK(j.kid, ry, j.x, nil)
 		}
-		for t, v := range pk.yVal {
-			pr.routeYVal[tr.ySlot[t]] += v // combining: same y_i from many sources
+		for _, sp := range pl.hop1 {
+			sp.fill(j, nil)
 		}
-	}
-	// Phase 2 sends: forward combined payloads to final destinations.
-	for _, fp := range pr.p2Sends {
-		for t, s := range fp.xSlot {
-			fp.buf.xVal[t] = pr.routeXVal[s]
+	case 1:
+		bank(pl.recv1, rx, ry, n)
+		drainSlots(ext, rx, pl.toExt, n, false)
+		for _, fp := range pl.hop2 {
+			fp.gather(rx, ry, n)
 		}
-		for t, s := range fp.ySlot {
-			fp.buf.yVal[t] = pr.routeYVal[s]
-		}
-		e.rprocs[fp.dest].inbox[1] <- fp.buf
-	}
-	// Rows this proc owns fold straight out of the routing buffer.
-	for t, i := range pr.yLocalRows {
-		y[i] += pr.routeYVal[pr.yLocalSlot[t]]
-	}
-	// Phase 2 receives.
-	for _, pk := range pr.recv[1].gather(pr.inbox[1]) {
-		slots := pr.p2Recv[pk.from]
-		for t, v := range pk.xVal {
-			pr.extX[slots[t]] = v
-		}
-		for t, i := range pk.yIdx {
-			y[i] += pk.yVal[t]
+		drainSlots(j.y, ry, pl.localY, n, true)
+	case 2:
+		bank(pl.recv2, ext, j.y, n)
+		own := ownOf(&pl.own, &pl.ownS, j.kid)
+		if n > 0 {
+			own.addIntoBlockK(j.kid, j.y, j.x, ext, n)
+		} else {
+			own.addIntoK(j.kid, j.y, j.x, ext)
 		}
 	}
-	// Compute local rows.
-	ownOf(&pr.own, &pr.ownS, kid).addIntoK(kid, y, x, pr.extX)
 }

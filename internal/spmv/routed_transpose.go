@@ -1,12 +1,10 @@
 package spmv
 
-import "sort"
-
 // This file adds y ← Aᵀx to the routed two-hop engine by reversing the
-// compiled forward route edge for edge: the transpose's phase 1 is the
-// reverse of the forward phase 2, its phase 2 the reverse of the
-// forward phase 1, and every intermediate keeps its combining role with
-// the payload directions swapped. An x entry that fanned out through an
+// compiled forward route edge for edge: the transpose's hop 1 is the
+// reverse of the forward hop 2, its hop 2 the reverse of the forward
+// hop 1, and every intermediate keeps its combining role with the
+// payload directions swapped. An x entry that fanned out through an
 // intermediate to several consumers becomes several partial sums
 // combining at that intermediate on the way back to the owner, and a
 // partial-sum tree becomes an x broadcast tree — so message counts,
@@ -14,112 +12,45 @@ import "sort"
 //
 // The dense routing buffers swap roles too: routeYVal's row-space
 // layout carries the transpose's routed x values, routeXVal's
-// column-space layout carries the transpose's combined partials. Both
-// buffers (and their block twins) are shared with the forward plan —
-// calls on one engine never overlap, so no copy is live across both.
+// column-space layout carries the transpose's combined partials. The
+// transpose plan is therefore a second rplan over the same buffers, run
+// by the same steps (RoutedEngine.step), and most of it is the forward
+// plan's slot arrays read the other way round: no extra storage.
 
-// rtproc is one processor's compiled routed transpose plan.
-type rtproc struct {
-	// extSlot maps a remote x row to a slot in extX — the rows this proc
-	// computed fold partials for in the forward plan.
-	extSlot map[int]int
-	extX    []float64
-
-	// own computes the locally-owned output columns (kernel "rows" are
-	// global column indices; external sources read extX). ownS is its
-	// sorted-slot twin, derived lazily once a sorted-layout backend is
-	// installed.
-	own  rowKernel
-	ownS rowKernel
-
-	// selfPartial accumulates this proc's partials for external columns
-	// that were delivered to it directly by their owners (the forward
-	// phase-1 xExt path) into the column buffer; its rows field holds
-	// routeXVal slots. It reads local x only.
-	selfPartial rowKernel
-
-	// rxtToExt copies the rows this proc consumes that route through
-	// itself out of the row buffer into extX after phase 1:
-	// extX[idx] = routeYVal[slot].
-	rxtToExt []slotIdx
-
-	// Phase-1 packets: one to each forward phase-2 sender, pairing the x
-	// rows this proc owns (which that sender combined for it) with the
-	// partials for the columns that sender delivered.
-	t1Sends []*sendPlan
-	// t1Recv[sender] is this proc's own forward phase-2 plan to that
-	// destination: its ySlot array places incoming x rows in the row
-	// buffer, its xSlot array combines incoming partials in the column
-	// buffer. No extra storage — the forward slot arrays are reused.
-	t1Recv map[int]*fwdPlan
-
-	// Phase-2 forwards: one to each forward phase-1 sender, x rows
-	// gathered from the row buffer (slots alias p1Recv's ySlot) and
-	// combined partials from the column buffer (slots alias xRoute).
-	t2Sends []*fwdPlan
-	// t2RecvX[sender] maps incoming phase-2 x rows to extX slots.
-	t2RecvX map[int][]int
-
-	recv [2]recvPlan
-
-	// Block (multi-RHS) twins, sized lazily by ensureTransposeBlock.
-	extXB []float64
-	accB  []float64
-}
-
-// ensureTranspose compiles the routed transpose plan once, with the
-// workers parked.
+// ensureTranspose compiles the routed transpose plan once, with every
+// executor idle.
 func (e *RoutedEngine) ensureTranspose() {
 	if e.tready {
 		return
 	}
 	mesh := e.mesh
-	// Recompute midNZ as compile did, in sorted destination order so the
-	// derived kernels are deterministic across rebuilt engines.
-	midNZ := make([]map[int][]localNZ, len(e.rprocs))
+	// extSlot[p] maps a remote x row of p — the rows p computed fold
+	// partials for in the forward plan — to a slot of its extX.
+	extSlot := make([]map[int]int, len(e.rprocs))
 	for _, pr := range e.rprocs {
-		midNZ[pr.id] = make(map[int][]localNZ)
-		for _, dest := range sortedKeys(pr.preGroups) {
-			mid := mesh.PartAt(mesh.RowOf(dest), mesh.ColOf(pr.id))
-			midNZ[pr.id][mid] = append(midNZ[pr.id][mid], pr.preGroups[dest]...)
-		}
+		extSlot[pr.id] = transposeExtSlots(pr.preGroups)
 	}
 
 	for _, pr := range e.rprocs {
-		t := &rtproc{
-			extSlot: make(map[int]int),
-			t1Recv:  make(map[int]*fwdPlan),
-			t2RecvX: make(map[int][]int),
-		}
-		for _, dst := range sortedKeys(pr.preGroups) {
-			for _, i := range compiledGroupRows(pr.preGroups[dst]) {
-				if _, ok := t.extSlot[i]; !ok {
-					t.extSlot[i] = len(t.extSlot)
-				}
-			}
-		}
-		t.extX = make([]float64, len(t.extSlot))
+		t := &rplan{extX: make([]float64, len(extSlot[pr.id]))}
 		pr.t = t
-	}
 
-	for _, pr := range e.rprocs {
-		t := pr.t
-		extIdx := invertSlots(pr.extSlot) // forward slot → global column
-
-		// Split this proc's nonzeros into the transpose frame.
-		var own []localNZ
-		var selfNZ []localNZ
+		// Split this proc's nonzeros into the transpose frame (kernel "rows"
+		// are global column indices). Per output column they arrive by
+		// ascending row from the compiled forward kernel, as they did from
+		// the build-time list.
+		var own, selfNZ []localNZ
 		t1Pre := make(map[int][]localNZ)
-		for _, nz := range pr.ownRows {
+		pr.fwd.own.each(func(nz localNZ) {
 			if nz.src >= 0 {
 				own = append(own, localNZ{row: nz.src, src: nz.row, val: nz.val})
-				continue
+				return
 			}
 			// External column: the partial retraces the column's forward
 			// delivery path — via the intermediate that shipped it here, or
 			// straight into the column buffer when this proc was its own
 			// intermediate.
-			j := extIdx[-(nz.src + 1)]
+			j := pr.extIdx[-(nz.src + 1)]
 			mid := mesh.PartAt(mesh.RowOf(pr.id), mesh.ColOf(e.d.XPart[j]))
 			tnz := localNZ{row: j, src: nz.row, val: nz.val}
 			if mid == pr.id {
@@ -127,54 +58,38 @@ func (e *RoutedEngine) ensureTranspose() {
 			} else {
 				t1Pre[mid] = append(t1Pre[mid], tnz)
 			}
-		}
+		})
 		for _, dst := range sortedKeys(pr.preGroups) {
 			for _, nz := range pr.preGroups[dst] {
-				own = append(own, localNZ{row: nz.src, src: -(t.extSlot[nz.row] + 1), val: nz.val})
+				own = append(own, localNZ{row: nz.src, src: -(extSlot[pr.id][nz.row] + 1), val: nz.val})
 			}
 		}
 		t.own = compileRows(own)
-		t.selfPartial = compileRows(selfNZ)
-		for i, j := range t.selfPartial.rows {
-			t.selfPartial.rows[i] = pr.xSlot[j]
+		// selfK: partials for external columns their owners delivered here
+		// directly (the forward toExt path), into the column buffer.
+		t.selfK = compileRows(selfNZ)
+		for i, j := range t.selfK.rows {
+			t.selfK.rows[i] = pr.xSlot[j]
 		}
+		// The rows this proc owns and routes as its own intermediate seed
+		// the row buffer; the columns it owns whose combined partials sit in
+		// the column buffer (their consumers reached them via this proc
+		// itself) fold locally.
+		t.seedX, t.localY = pr.fwd.localY, pr.fwd.seedX
 
-		// Phase-1 packets reverse the forward phase-2 packets into pr.
-		var t1Dests []int
-		for _, s := range e.rprocs {
-			if s.id == pr.id {
-				continue
-			}
-			if _, ok := s.phase2Dests[pr.id]; ok {
-				t1Dests = append(t1Dests, s.id)
-			}
-		}
-		sort.Ints(t1Dests)
-		type reversed struct {
-			dst  int
-			rows []int // x rows pr owns, in the forward packet's order
-			grp  rowKernel
-		}
-		revs := make([]reversed, 0, len(t1Dests))
+		// Hop-1 packets reverse the forward hop-2 packets into pr: one to
+		// each of their senders, pairing the x rows pr owns (which that
+		// sender combined for it, in the forward packet's order) with the
+		// partials for the columns that sender delivered.
+		grps := make([]rowKernel, len(pr.fwd.recv2))
 		words := 0
-		for _, sid := range t1Dests {
-			var fp *fwdPlan
-			for _, cand := range e.rprocs[sid].p2Sends {
-				if cand.dest == pr.id {
-					fp = cand
-					break
-				}
-			}
-			grp := compileRows(t1Pre[sid])
-			words += len(fp.buf.yIdx) + len(grp.rows)
-			revs = append(revs, reversed{dst: sid, rows: fp.buf.yIdx, grp: grp})
+		for i, l := range pr.fwd.recv2 {
+			grps[i] = compileRows(t1Pre[l.peer])
+			words += len(l.yTo) + len(grps[i].rows)
 		}
 		arena := newValArena(words)
-		for _, rv := range revs {
-			t.t1Sends = append(t.t1Sends, newSendPlan(pr.id, rv.dst, rv.rows, rv.grp, arena))
-		}
-		for _, fp := range pr.p2Sends {
-			t.t1Recv[fp.dest] = fp
+		for i, l := range pr.fwd.recv2 {
+			t.hop1 = append(t.hop1, newSendPlan(l.peer, l.yTo, grps[i], arena))
 		}
 
 		// Rows consumed here that route through this proc itself.
@@ -183,54 +98,54 @@ func (e *RoutedEngine) ensureTranspose() {
 				continue
 			}
 			for _, i := range compiledGroupRows(pr.preGroups[dst]) {
-				t.rxtToExt = append(t.rxtToExt, slotIdx{slot: pr.ySlot[i], idx: t.extSlot[i]})
+				t.toExt = append(t.toExt, slotIdx{slot: pr.ySlot[i], idx: extSlot[pr.id][i]})
 			}
 		}
 
-		// Phase-2 forwards reverse the forward phase-1 packets into pr.
-		var t2Dests []int
-		for k := range pr.p1Recv {
-			t2Dests = append(t2Dests, k)
-		}
-		sort.Ints(t2Dests)
+		// Hop-2 forwards reverse the forward hop-1 packets into pr: one to
+		// each of their senders, x rows gathered from the row buffer (where
+		// the forward link combined that sender's partials) and combined
+		// partials from the column buffer (where it routed that sender's x).
 		words = 0
-		for _, k := range t2Dests {
-			tr := pr.p1Recv[k]
-			words += len(tr.ySlot) + len(tr.xRoute)
+		for _, l := range pr.fwd.recv1 {
+			words += len(l.yTo) + len(l.xTo)
 		}
 		arena = newValArena(words)
-		for _, k := range t2Dests {
-			tr := pr.p1Recv[k]
-			fp := &fwdPlan{dest: k, xSlot: tr.ySlot, ySlot: tr.xRoute}
-			fp.buf = packet{
-				from: pr.id,
-				xIdx: compiledGroupRows(midNZ[k][pr.id]),
-				xVal: arena.take(len(tr.ySlot)),
-				yIdx: e.rprocs[k].hop1X[pr.id],
-				yVal: arena.take(len(tr.xRoute)),
-			}
-			t.t2Sends = append(t.t2Sends, fp)
+		for _, l := range pr.fwd.recv1 {
+			fp := &fwdPlan{dest: l.peer, xSlot: l.yTo, ySlot: l.xTo, rows: e.rprocs[l.peer].hop1X[pr.id]}
+			fp.xVal, fp.yVal = arena.take(len(l.yTo)), arena.take(len(l.xTo))
+			t.hop2 = append(t.hop2, fp)
 		}
-		for _, sp := range pr.p1Sends {
-			slots := make([]int, len(sp.grp.rows))
-			for i, r := range sp.grp.rows {
-				slots[i] = t.extSlot[r]
-			}
-			t.t2RecvX[sp.dest] = slots
-		}
+	}
 
-		// Receive plans: transpose phase-1 packets come from pr's forward
-		// phase-2 destinations, phase-2 packets from its phase-1 ones.
-		t1Senders := make([]int, 0, len(pr.p2Sends))
-		for _, fp := range pr.p2Sends {
-			t1Senders = append(t1Senders, fp.dest)
+	// Static receive lists, sender-ordered as in compile.
+	for _, s := range e.rprocs {
+		for _, sp := range s.t.hop1 {
+			// The receiver's own forward hop-2 plan to s places the packet:
+			// x rows overwrite the row buffer where that plan read partials,
+			// partials combine in the column buffer where it read x.
+			pr := e.rprocs[sp.dest]
+			for _, fp := range pr.fwd.hop2 {
+				if fp.dest == s.id {
+					pr.t.recv1 = append(pr.t.recv1, recvLink{peer: s.id, from: &sp.payload, xTo: fp.ySlot, yTo: fp.xSlot})
+				}
+			}
 		}
-		t2Senders := make([]int, 0, len(pr.p1Sends))
-		for _, sp := range pr.p1Sends {
-			t2Senders = append(t2Senders, sp.dest)
+		for _, fp := range s.t.hop2 {
+			// The receiver's forward hop-1 packet to s names what comes back:
+			// x rows for the rows of its partials, partials for its x entries.
+			pr := e.rprocs[fp.dest]
+			for _, sp := range pr.fwd.hop1 {
+				if sp.dest != s.id {
+					continue
+				}
+				xTo := make([]int, len(sp.grp.rows))
+				for i, r := range sp.grp.rows {
+					xTo[i] = extSlot[pr.id][r]
+				}
+				pr.t.recv2 = append(pr.t.recv2, recvLink{peer: s.id, from: &fp.payload, xTo: xTo, yTo: sp.xIdx})
+			}
 		}
-		t.recv[0] = newRecvPlan(t1Senders)
-		t.recv[1] = newRecvPlan(t2Senders)
 	}
 	e.tready = true
 	if e.sel.anySorted() {
@@ -243,187 +158,19 @@ func (e *RoutedEngine) ensureTranspose() {
 // MultiplyTranspose computes y ← Aᵀx with the reversed two-hop
 // schedule; see Engine.MultiplyTranspose for the contract.
 func (e *RoutedEngine) MultiplyTranspose(x, y []float64) error {
-	a := e.d.A
-	if len(x) != a.Rows || len(y) != a.Cols {
-		panic("spmv: dimension mismatch")
-	}
-	e.ensureTranspose()
-	e.curKern = e.sel.forWidth(1)
-	return e.pool.dispatchOp(x, y, 0, true)
-}
-
-// runT executes one processor's transpose part of the reversed route.
-// Throughout, pr.routeYVal is the row buffer (routed x values) and
-// pr.routeXVal the column buffer (combined partials).
-//
-//spmv:hotpath
-func (e *RoutedEngine) runT(pr *rproc, x, y []float64, kid kernelID) {
-	t := pr.t
-	rxb, cyb := pr.routeYVal, pr.routeXVal
-	for i := range cyb {
-		cyb[i] = 0
-	}
-	// Seed: rows this proc owns and routes as its own intermediate, and
-	// partials for columns their owners delivered here directly.
-	// selfPartial's rows index routing slots, not packet positions, so
-	// the relaxed loops may run here; the sorted layout never applies.
-	for i, r := range pr.yLocalRows {
-		rxb[pr.yLocalSlot[i]] = x[r]
-	}
-	t.selfPartial.addIntoK(kid, cyb, x, nil)
-	// Phase 1 sends.
-	for _, sp := range t.t1Sends {
-		sp.fill(kid, x, nil)
-		e.rprocs[sp.dest].inbox[0] <- sp.buf
-	}
-	// Phase 1 receives: x rows overwrite the row buffer, partials combine
-	// in the column buffer (same y_j from many consumers).
-	for _, pk := range t.recv[0].gather(pr.inbox[0]) {
-		fp := t.t1Recv[pk.from]
-		for i, s := range fp.ySlot {
-			rxb[s] = pk.xVal[i]
-		}
-		for i, s := range fp.xSlot {
-			cyb[s] += pk.yVal[i]
-		}
-	}
-	// Rows consumed locally that routed through this proc.
-	for _, s := range t.rxtToExt {
-		t.extX[s.idx] = rxb[s.slot]
-	}
-	// Phase 2 sends: forward x rows and combined partials to the owners.
-	for _, fp := range t.t2Sends {
-		for i, s := range fp.xSlot {
-			fp.buf.xVal[i] = rxb[s]
-		}
-		for i, s := range fp.ySlot {
-			fp.buf.yVal[i] = cyb[s]
-		}
-		e.rprocs[fp.dest].inbox[1] <- fp.buf
-	}
-	// Columns this proc owns whose combined partials sit in the column
-	// buffer (their consumers reached them via this proc itself).
-	for _, s := range pr.selfX {
-		y[s.idx] += cyb[s.slot]
-	}
-	// Phase 2 receives.
-	for _, pk := range t.recv[1].gather(pr.inbox[1]) {
-		slots := t.t2RecvX[pk.from]
-		for i, v := range pk.xVal {
-			t.extX[slots[i]] = v
-		}
-		for i, j := range pk.yIdx {
-			y[j] += pk.yVal[i]
-		}
-	}
-	// Compute local columns.
-	ownOf(&t.own, &t.ownS, kid).addIntoK(kid, y, x, t.extX)
-}
-
-// ---- blocked transpose ----
-
-// ensureTransposeBlock mirrors RoutedEngine.ensureBlock for the
-// transpose plan. The shared dense routing buffers are (re)sized here
-// too, and the forward width is invalidated so its next block call
-// re-slices them back.
-func (e *RoutedEngine) ensureTransposeBlock(nrhs int) {
-	if nrhs == e.tBlockNRHS {
-		return
-	}
-	for _, pr := range e.rprocs {
-		t := pr.t
-		t.extXB = growBlock(t.extXB, len(t.extSlot)*nrhs)
-		t.accB = growBlock(t.accB, nrhs)
-		pr.routeXValB = growBlock(pr.routeXValB, len(pr.routeXVal)*nrhs)
-		pr.routeYValB = growBlock(pr.routeYValB, len(pr.routeYVal)*nrhs)
-		for _, sp := range t.t1Sends {
-			sp.ensureBlock(nrhs)
-		}
-		for _, fp := range t.t2Sends {
-			fp.bufB = packet{
-				from: fp.buf.from,
-				xIdx: fp.buf.xIdx,
-				xVal: growBlock(fp.bufB.xVal, len(fp.xSlot)*nrhs),
-				yIdx: fp.buf.yIdx,
-				yVal: growBlock(fp.bufB.yVal, len(fp.ySlot)*nrhs),
-			}
-		}
-	}
-	e.blockNRHS = 0
-	e.tBlockNRHS = nrhs
+	checkDims(x, y, e.d.A.Rows, e.d.A.Cols)
+	return e.dispatch(x, y, 0, true)
 }
 
 // MultiplyTransposeBlock computes Y ← AᵀX for nrhs right-hand sides
 // with the reversed two-hop schedule; see Engine.MultiplyTransposeBlock.
 func (e *RoutedEngine) MultiplyTransposeBlock(X, Y []float64, nrhs int) error {
-	a := e.d.A
-	checkBlockDims(X, Y, nrhs, a.Rows, a.Cols)
-	e.ensureTranspose()
-	e.ensureTransposeBlock(nrhs)
-	e.curKern = e.sel.forWidth(nrhs)
-	return e.pool.dispatchOp(X, Y, nrhs, true)
+	checkBlockDims(X, Y, nrhs, e.d.A.Rows, e.d.A.Cols)
+	return e.dispatch(X, Y, nrhs, true)
 }
 
 // MultiplyTransposeMulti computes Y[c] ← Aᵀ·X[c] for every column c in
 // one routed block transpose multiply; see Engine.MultiplyMulti.
 func (e *RoutedEngine) MultiplyTransposeMulti(X, Y [][]float64) error {
 	return e.io.multi(X, Y, e.d.A.Rows, e.d.A.Cols, e.MultiplyTransposeBlock)
-}
-
-// runTBlock is runT with nrhs-wide payloads.
-//
-//spmv:hotpath
-func (e *RoutedEngine) runTBlock(pr *rproc, x, y []float64, nrhs int, kid kernelID) {
-	t := pr.t
-	rxb, cyb := pr.routeYValB, pr.routeXValB
-	for i := range cyb {
-		cyb[i] = 0
-	}
-	for i, r := range pr.yLocalRows {
-		copy(rxb[pr.yLocalSlot[i]*nrhs:(pr.yLocalSlot[i]+1)*nrhs], x[r*nrhs:(r+1)*nrhs])
-	}
-	t.selfPartial.addIntoBlockK(kid, cyb, x, nil, nrhs, t.accB)
-	// Phase 1 sends.
-	for _, sp := range t.t1Sends {
-		sp.fillBlock(kid, x, nil, nrhs)
-		e.rprocs[sp.dest].inbox[0] <- sp.bufB
-	}
-	// Phase 1 receives.
-	for _, pk := range t.recv[0].gather(pr.inbox[0]) {
-		fp := t.t1Recv[pk.from]
-		for i, s := range fp.ySlot {
-			copy(rxb[s*nrhs:(s+1)*nrhs], pk.xVal[i*nrhs:(i+1)*nrhs])
-		}
-		for i, s := range fp.xSlot {
-			addBlock(cyb[s*nrhs:(s+1)*nrhs], pk.yVal[i*nrhs:(i+1)*nrhs])
-		}
-	}
-	for _, s := range t.rxtToExt {
-		copy(t.extXB[s.idx*nrhs:(s.idx+1)*nrhs], rxb[s.slot*nrhs:(s.slot+1)*nrhs])
-	}
-	// Phase 2 sends.
-	for _, fp := range t.t2Sends {
-		for i, s := range fp.xSlot {
-			copy(fp.bufB.xVal[i*nrhs:(i+1)*nrhs], rxb[s*nrhs:(s+1)*nrhs])
-		}
-		for i, s := range fp.ySlot {
-			copy(fp.bufB.yVal[i*nrhs:(i+1)*nrhs], cyb[s*nrhs:(s+1)*nrhs])
-		}
-		e.rprocs[fp.dest].inbox[1] <- fp.bufB
-	}
-	for _, s := range pr.selfX {
-		addBlock(y[s.idx*nrhs:(s.idx+1)*nrhs], cyb[s.slot*nrhs:(s.slot+1)*nrhs])
-	}
-	// Phase 2 receives.
-	for _, pk := range t.recv[1].gather(pr.inbox[1]) {
-		slots := t.t2RecvX[pk.from]
-		for i, s := range slots {
-			copy(t.extXB[s*nrhs:(s+1)*nrhs], pk.xVal[i*nrhs:(i+1)*nrhs])
-		}
-		for i, j := range pk.yIdx {
-			addBlock(y[j*nrhs:(j+1)*nrhs], pk.yVal[i*nrhs:(i+1)*nrhs])
-		}
-	}
-	// Compute local columns.
-	ownOf(&t.own, &t.ownS, kid).addIntoBlockK(kid, y, x, t.extXB, nrhs, t.accB)
 }

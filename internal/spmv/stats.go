@@ -2,53 +2,25 @@ package spmv
 
 import "repro/internal/distrib"
 
-// ScheduleStats returns the communication the engine will actually perform
-// per Multiply, derived from its static schedule. For a valid engine this
-// equals the distribution's analytic Comm() — the property the consistency
-// tests pin down — and it is the number a user should quote when reporting
-// measured traffic.
+// ScheduleStats returns the communication the engine performs per
+// Multiply, counted off the compiled plan it executes: one message per
+// packet, one word per payload entry, per phase. For a valid engine this
+// equals the distribution's analytic Comm() — the property the
+// consistency tests pin down against the build-time schedule — and it is
+// the number a user should quote when reporting measured traffic.
 func (e *Engine) ScheduleStats() distrib.CommStats {
-	if e.fused {
-		acc := distrib.NewMsgAccum(e.d.K)
-		for _, pr := range e.procs {
-			for dest, words := range e.fusedPacketSizes(pr) { //spmvlint:unordered commutative integer accumulation
-				acc.Add(pr.id, dest, words)
+	phases := []*distrib.MsgAccum{distrib.NewMsgAccum(e.d.K)}
+	if !e.fused {
+		phases = append(phases, distrib.NewMsgAccum(e.d.K))
+	}
+	for _, pr := range e.procs {
+		for ph, sends := range pr.fwd.sends[:len(phases)] {
+			for _, sp := range sends {
+				phases[ph].Add(pr.id, sp.dest, sp.words())
 			}
 		}
-		return distrib.CombineStats(e.d.K, acc)
 	}
-	expand := distrib.NewMsgAccum(e.d.K)
-	fold := distrib.NewMsgAccum(e.d.K)
-	for _, pr := range e.procs {
-		for dest, idxs := range pr.xNeed { //spmvlint:unordered commutative integer accumulation
-			expand.Add(pr.id, dest, len(idxs))
-		}
-		for dest, nzs := range pr.preGroups { //spmvlint:unordered commutative integer accumulation
-			fold.Add(pr.id, dest, countRows(nzs))
-		}
-	}
-	return distrib.CombineStats(e.d.K, expand, fold)
-}
-
-// fusedPacketSizes returns, per destination, the packet word count
-// (x entries plus distinct partial rows) processor pr will send.
-func (e *Engine) fusedPacketSizes(pr *proc) map[int]int {
-	sizes := make(map[int]int)
-	for dest, idxs := range pr.xNeed {
-		sizes[dest] += len(idxs)
-	}
-	for dest, nzs := range pr.preGroups { //spmvlint:unordered commutative integer accumulation; countRows is pure
-		sizes[dest] += countRows(nzs)
-	}
-	return sizes
-}
-
-func countRows(nzs []localNZ) int {
-	rows := make(map[int]struct{}, len(nzs))
-	for _, nz := range nzs {
-		rows[nz.row] = struct{}{}
-	}
-	return len(rows)
+	return distrib.CombineStats(e.d.K, phases...)
 }
 
 // ScheduleStats returns the routed engine's per-phase traffic. Phase-1
@@ -58,52 +30,12 @@ func (e *RoutedEngine) ScheduleStats() distrib.CommStats {
 	phase1 := distrib.NewMsgAccum(e.d.K)
 	phase2 := distrib.NewMsgAccum(e.d.K)
 	for _, pr := range e.rprocs {
-		// Phase-1 x payloads.
-		for mid, idxs := range pr.hop1X { //spmvlint:unordered commutative integer accumulation
-			phase1.Add(pr.id, mid, len(idxs))
+		for _, sp := range pr.fwd.hop1 {
+			phase1.Add(pr.id, sp.dest, sp.words())
 		}
-		// Phase-1 y payloads: distinct rows per intermediate.
-		midRows := make(map[int]map[int]struct{})
-		for dest, nzs := range pr.preGroups { //spmvlint:unordered builds per-mid row sets; insertion commutes
-			mid := e.mesh.PartAt(e.mesh.RowOf(dest), e.mesh.ColOf(pr.id))
-			if midRows[mid] == nil {
-				midRows[mid] = make(map[int]struct{})
-			}
-			for _, nz := range nzs {
-				midRows[mid][nz.row] = struct{}{}
-			}
+		for _, fp := range pr.fwd.hop2 {
+			phase2.Add(pr.id, fp.dest, fp.words())
 		}
-		for mid, rows := range midRows { //spmvlint:unordered commutative integer accumulation
-			phase1.Add(pr.id, mid, len(rows))
-		}
-		// Phase-2 x forwards.
-		for dest, idxs := range pr.hop2X { //spmvlint:unordered commutative integer accumulation
-			phase2.Add(pr.id, dest, len(idxs))
-		}
-	}
-	// Phase-2 y forwards: for every intermediate, the distinct rows it
-	// will combine and forward per destination. Reconstruct from the
-	// senders' schedules (static).
-	midDestRows := make(map[int64]map[int]struct{})
-	for _, pr := range e.rprocs {
-		for dest, nzs := range pr.preGroups { //spmvlint:unordered builds per-dest row sets; insertion commutes
-			mid := e.mesh.PartAt(e.mesh.RowOf(dest), e.mesh.ColOf(pr.id))
-			if mid == dest {
-				continue
-			}
-			key := int64(mid)*int64(e.d.K) + int64(dest)
-			if midDestRows[key] == nil {
-				midDestRows[key] = make(map[int]struct{})
-			}
-			for _, nz := range nzs {
-				midDestRows[key][nz.row] = struct{}{}
-			}
-		}
-	}
-	for key, rows := range midDestRows { //spmvlint:unordered commutative integer accumulation
-		mid := int(key / int64(e.d.K))
-		dest := int(key % int64(e.d.K))
-		phase2.Add(mid, dest, len(rows))
 	}
 	return distrib.CombineStats(e.d.K, phase1, phase2)
 }

@@ -6,11 +6,18 @@ import (
 )
 
 // PhaseTimings is one multiply's expand/compute/fold breakdown as seen
-// by worker 0 — a sample of where the barrier's wall time went, in the
-// paper's phase vocabulary. Fused schedules report the packet sends as
-// Expand, the single gather-and-bank loop as Fold, and the local kernel
-// as Compute; two-phase schedules report phase 0 (x expand) as Expand,
-// the kernel as Compute, and phase 1 (partial-y fold) as Fold.
+// by processor 0 — a sample of where the barrier's wall time went, in the
+// paper's phase vocabulary. Only virtual processor 0's tickets are timed,
+// whichever executor runs them, on one stopwatch that starts with the
+// multiply: what processor 0 waits for its peers at a barrier (on a
+// multiply below the wake grain, the time the caller spends running them)
+// is charged to the phase the barrier opens, as a blocked receive was.
+// Fused schedules report the packet fills as Expand, the wait and the
+// sender-ordered bank as Fold, and the local kernel as Compute; two-phase
+// schedules report phase 0 (x fill, wait and bank) as Expand, the kernel
+// as Compute, and phase 1 (partial-y fill, wait and fold) as Fold. The
+// three add up to processor 0's span of the multiply, not to the whole
+// multiply: its peers' kernels after its own are not in them.
 type PhaseTimings struct {
 	Expand  time.Duration
 	Compute time.Duration
@@ -30,20 +37,22 @@ type PhaseSampler interface {
 }
 
 // phaseTimer holds the engine's sampled phase durations. armed is
-// atomic because SamplePhases may be called from a goroutine other
-// than the workers; the ns fields are plain — worker 0 writes them
-// before the barrier's done.Wait() and the dispatcher reads them after,
-// so the pool's happens-before edge covers them.
+// atomic because SamplePhases may be called from another goroutine than
+// the dispatcher; the other fields are plain. The dispatcher resets them
+// before it publishes the multiply, the executors that run processor 0's
+// tickets write them one step after the other, and the dispatcher reads
+// them after the multiply: the runner's ticket counters order all three.
 type phaseTimer struct {
 	armed     atomic.Bool
 	sampled   bool // a multiply has completed since arming
+	t         time.Time
 	expandNs  int64
 	computeNs int64
 	foldNs    int64
 }
 
 // SamplePhases arms (or disarms) phase sampling. Disarmed engines skip
-// the two time.Now calls per phase on worker 0 and LastPhases reports
+// the time.Now call per phase of processor 0 and LastPhases reports
 // ok=false.
 func (e *Engine) SamplePhases(on bool) {
 	e.pt.armed.Store(on)
@@ -65,28 +74,25 @@ func (e *Engine) LastPhases() (PhaseTimings, bool) {
 	}, true
 }
 
-// phaseClock is worker 0's stopwatch: a stack value armed only on the
-// sampling worker, so the other workers and disarmed engines pay one
-// atomic load per multiply and nothing else.
-type phaseClock struct {
-	t  time.Time
-	on bool
-}
-
-func (e *Engine) phaseClock(pr *proc) phaseClock {
-	if pr.id != 0 || !e.pt.armed.Load() {
-		return phaseClock{}
+// begin starts the stopwatch for one multiply and reports whether
+// sampling is armed; disarmed engines pay this one atomic load.
+func (pt *phaseTimer) begin() bool {
+	if !pt.armed.Load() {
+		return false
 	}
-	e.pt.sampled = true
-	return phaseClock{t: time.Now(), on: true}
+	pt.sampled = true
+	pt.expandNs, pt.computeNs, pt.foldNs = 0, 0, 0
+	pt.t = time.Now()
+	return true
 }
 
-// lap stores the time since the previous lap into dst and restarts.
-func (c *phaseClock) lap(dst *int64) {
-	if !c.on {
+// lap, called by virtual processor vp, adds the time since the previous
+// lap to dst and restarts; every processor but 0 returns at once.
+func (pt *phaseTimer) lap(j *job, vp int, dst *int64) {
+	if !j.sample || vp != 0 {
 		return
 	}
 	now := time.Now()
-	*dst = int64(now.Sub(c.t))
-	c.t = now
+	*dst += int64(now.Sub(pt.t))
+	pt.t = now
 }

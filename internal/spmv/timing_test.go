@@ -39,6 +39,7 @@ func TestPhaseSampler(t *testing.T) {
 					d.Owner[p] = r.Intn(k)
 				}
 			}
+			withGOMAXPROCS(t, 4) // four executors, whatever the host has
 			eng, err := NewEngine(d)
 			if err != nil {
 				t.Fatal(err)
@@ -95,6 +96,20 @@ func TestPhaseSampler(t *testing.T) {
 			}
 			if _, ok := ps.LastPhases(); !ok {
 				t.Fatal("block multiply must refresh the sample")
+			}
+
+			// With the helpers engaged processor 0's tickets run on whichever
+			// executor claims them: the sample is still processor 0's, complete
+			// after every multiply (and, under -race, ordered by the barrier).
+			engageHelpers(t, eng)
+			for i := 0; i < 200; i++ {
+				if err := eng.Multiply(x, y); err != nil {
+					t.Fatal(err)
+				}
+				ph, ok := ps.LastPhases()
+				if !ok || ph.Expand < 0 || ph.Compute < 0 || ph.Fold < 0 || ph.Expand+ph.Compute+ph.Fold <= 0 {
+					t.Fatalf("multiply %d with helpers: phases %+v, ok %v", i, ph, ok)
+				}
 			}
 
 			ps.SamplePhases(false)

@@ -13,45 +13,11 @@ package spmv
 //
 // In the transpose frame, x is indexed by rows (length Rows, owned by
 // YPart) and y by columns (length Cols, owned by XPart). Each
-// processor's transpose plan is compiled lazily on the first
-// MultiplyTranspose from the forward schedule the engine retains, and
-// thereafter executes with zero steady-state heap allocations, exactly
-// like the forward plan.
-
-// tproc is one processor's compiled transpose plan.
-type tproc struct {
-	// extSlot maps a remote x row (a row this proc has nonzeros in but
-	// does not own) to a slot in extX — the dual of proc.extSlot over
-	// columns. Those rows are exactly the rows the forward plan computed
-	// fold partials for.
-	extSlot map[int]int
-	extX    []float64
-
-	// own computes the locally-owned output columns: the "rows" of this
-	// kernel are global column indices, local sources read x by global
-	// row, external sources read extX. ownS is its sorted-slot twin,
-	// derived lazily once a sorted-layout backend is installed.
-	own  rowKernel
-	ownS rowKernel
-
-	// sends are the first-phase packets. Fused: one [x-rows, partial-cols]
-	// packet per peer (reverse of the forward fused packet). Two-phase:
-	// x-row expand packets (reverse of the forward fold).
-	sends []*sendPlan
-	// ySends are the two-phase second-phase packets: partial sums for
-	// remote columns, shipped to the column owners (reverse of the
-	// forward expand).
-	ySends []*sendPlan
-
-	// recvX[sender] maps the t-th x entry of that sender's packet to an
-	// extX slot.
-	recvX map[int][]int
-	recv  []recvPlan // one per phase, fixing fold order by sender
-
-	// Block (multi-RHS) twins, sized lazily by ensureTransposeBlock.
-	extXB []float64
-	accB  []float64
-}
+// processor's transpose plan is a second vplan, compiled lazily on the
+// first MultiplyTranspose from the forward schedule the engine retains;
+// it runs through the same steps (Engine.step) and thereafter executes
+// with zero steady-state heap allocations, exactly like the forward
+// plan.
 
 // invertSlots turns an index→slot map into its slot→index array.
 func invertSlots(m map[int]int) []int {
@@ -62,34 +28,60 @@ func invertSlots(m map[int]int) []int {
 	return out
 }
 
-// newTproc allocates the transpose plan skeleton with external-row
-// slots assigned in deterministic order (destinations ascending, rows
-// ascending), so rebuilt engines produce bit-identical transposes.
-func newTproc(pr *proc) *tproc {
-	t := &tproc{extSlot: make(map[int]int), recvX: make(map[int][]int)}
-	for _, dst := range sortedKeys(pr.preGroups) {
-		for _, i := range compiledGroupRows(pr.preGroups[dst]) {
-			if _, ok := t.extSlot[i]; !ok {
-				t.extSlot[i] = len(t.extSlot)
+// transposeExtSlots assigns a slot to every remote x row of a processor
+// — the rows it has nonzeros in but does not own, exactly the rows its
+// forward plan computed fold partials for; the dual of the forward
+// plan's slots over columns. The order is deterministic (destinations
+// ascending, rows ascending), so rebuilt engines produce bit-identical
+// transposes.
+func transposeExtSlots(preGroups map[int][]localNZ) map[int]int {
+	slots := make(map[int]int)
+	for _, dst := range sortedKeys(preGroups) {
+		for _, i := range compiledGroupRows(preGroups[dst]) {
+			if _, ok := slots[i]; !ok {
+				slots[i] = len(slots)
 			}
 		}
 	}
-	t.extX = make([]float64, len(t.extSlot))
-	return t
+	return slots
 }
 
-// ensureTranspose compiles the transpose plan once. It runs with the
-// workers parked (Multiply calls never overlap), so no locking is
-// needed beyond the engine's existing single-caller contract.
+// ensureTranspose compiles the transpose plan once. It runs with every
+// executor idle (Multiply calls never overlap), so no locking is needed
+// beyond the engine's existing single-caller contract.
+//
+// The transpose packet pr→k pairs the x rows k needs (the rows of k's
+// forward partials for pr) with pr's partials for the columns k owns
+// (the columns k shipped to pr). Fused, both ride one phase-0 packet:
+// under s2D every partial's source row is local, so partials fill before
+// any receive and the transpose is single-phase too. Otherwise the x
+// rows travel in phase 0 (reverse of the forward fold) and the column
+// partials, which read extX, in phase 1 (reverse of the forward expand)
+// — mirroring the forward order.
 func (e *Engine) ensureTranspose() {
 	if e.tready {
 		return
 	}
-	if e.fused {
-		e.compileFusedTranspose()
-	} else {
-		e.compileTwoPhaseTranspose()
+	extSlot := make([]map[int]int, len(e.procs))
+	for _, pr := range e.procs {
+		extSlot[pr.id] = transposeExtSlots(pr.preGroups)
 	}
+	for _, pr := range e.procs {
+		own, pre := e.transposeKernels(pr, extSlot[pr.id])
+		// x rows pr owes every processor that shipped it fold partials.
+		xOut := make(map[int][]int)
+		for _, other := range e.procs {
+			if rows := compiledGroupRows(other.preGroups[pr.id]); len(rows) > 0 {
+				xOut[other.id] = rows
+			}
+		}
+		pr.t = &vplan{
+			extX:  make([]float64, len(extSlot[pr.id])),
+			own:   compileRows(own),
+			sends: compileSends(e.fused, xOut, pre),
+		}
+	}
+	linkRecvs(e.procs, true, extSlot)
 	e.tready = true
 	if e.sel.anySorted() {
 		// A sorted-layout backend was installed before the transpose plan
@@ -102,19 +94,20 @@ func (e *Engine) ensureTranspose() {
 // compute kernel (locally-owned output columns) and the per-owner
 // partial groups (remote output columns), in the transpose frame:
 // kernel "row" = global column, source = global row or -(extSlot+1).
-func (e *Engine) transposeKernels(pr *proc) (own []localNZ, pre map[int][]localNZ) {
+// Per output column the nonzeros arrive by ascending row from the
+// compiled forward kernel, exactly as they did from the build-time
+// list, so the floating-point sums are unchanged.
+func (e *Engine) transposeKernels(pr *proc, extSlot map[int]int) (own []localNZ, pre map[int][]localNZ) {
 	d := e.d
-	t := pr.t
-	extIdx := invertSlots(pr.extSlot) // forward slot → global column
 	pre = make(map[int][]localNZ)
 	add := func(nz localNZ) {
 		src := nz.row
 		if d.YPart[nz.row] != pr.id {
-			src = -(t.extSlot[nz.row] + 1)
+			src = -(extSlot[nz.row] + 1)
 		}
 		j := nz.src
 		if j < 0 {
-			j = extIdx[-(nz.src + 1)]
+			j = pr.extIdx[-(nz.src + 1)]
 		}
 		tnz := localNZ{row: j, src: src, val: nz.val}
 		if d.XPart[j] == pr.id {
@@ -123,9 +116,7 @@ func (e *Engine) transposeKernels(pr *proc) (own []localNZ, pre map[int][]localN
 			pre[d.XPart[j]] = append(pre[d.XPart[j]], tnz)
 		}
 	}
-	for _, nz := range pr.ownRows {
-		add(nz)
-	}
+	pr.fwd.own.each(add)
 	// Sorted destination order keeps the kernels' nonzero order — and so
 	// the floating-point sums — identical across rebuilt engines.
 	for _, dst := range sortedKeys(pr.preGroups) {
@@ -136,120 +127,6 @@ func (e *Engine) transposeKernels(pr *proc) (own []localNZ, pre map[int][]localN
 	return own, pre
 }
 
-// compileFusedTranspose reverses the fused single-phase schedule: the
-// transpose packet pr→k pairs the x rows k needs (the rows of k's
-// forward partials for pr) with pr's precomputed partials for the
-// columns k owns (the columns k shipped to pr). Under s2D every
-// partial's source row is local, so partials fill before any receive —
-// the transpose is single-phase too.
-func (e *Engine) compileFusedTranspose() {
-	for _, pr := range e.procs {
-		pr.t = newTproc(pr)
-	}
-	for _, pr := range e.procs {
-		t := pr.t
-		own, pre := e.transposeKernels(pr)
-		t.own = compileRows(own)
-
-		destSet := make(map[int]struct{}, len(pre))
-		for dst := range pre {
-			destSet[dst] = struct{}{}
-		}
-		for _, other := range e.procs {
-			if len(other.preGroups[pr.id]) > 0 {
-				destSet[other.id] = struct{}{}
-			}
-		}
-		dests := sortedKeys(destSet)
-		grps := make([]rowKernel, len(dests))
-		xIdxs := make([][]int, len(dests))
-		words := 0
-		for i, dst := range dests {
-			grps[i] = compileRows(pre[dst])
-			xIdxs[i] = compiledGroupRows(e.procs[dst].preGroups[pr.id])
-			words += len(xIdxs[i]) + len(grps[i].rows)
-		}
-		arena := newValArena(words)
-		for i, dst := range dests {
-			t.sends = append(t.sends, newSendPlan(pr.id, dst, xIdxs[i], grps[i], arena))
-		}
-		// Transpose packets into pr reverse pr's forward sends.
-		senders := make([]int, 0, len(pr.sends))
-		for _, sp := range pr.sends {
-			senders = append(senders, sp.dest)
-		}
-		t.recv = []recvPlan{newRecvPlan(senders)}
-	}
-	compileTransposeRecvX(e.procs)
-}
-
-// compileTwoPhaseTranspose reverses the classic schedule: phase 0 ships
-// x rows from their owners to every proc holding nonzeros in them
-// (reverse of the forward fold), phase 1 ships column partials to the
-// column owners (reverse of the forward expand). A general 2D nonzero
-// can have both spaces remote, so the partial kernels read extX and
-// fill only after the phase-0 receives — mirroring the forward order.
-func (e *Engine) compileTwoPhaseTranspose() {
-	for _, pr := range e.procs {
-		pr.t = newTproc(pr)
-	}
-	for _, pr := range e.procs {
-		t := pr.t
-		own, pre := e.transposeKernels(pr)
-		t.own = compileRows(own)
-
-		// Phase-0 x-row packets: reverse of the forward ySends into pr's
-		// peers — pr owns the rows of k.preGroups[pr.id].
-		var xDests []int
-		for _, other := range e.procs {
-			if len(other.preGroups[pr.id]) > 0 {
-				xDests = append(xDests, other.id)
-			}
-		}
-		yDests := sortedKeys(pre)
-		grps := make([]rowKernel, len(yDests))
-		xIdxs := make([][]int, len(xDests))
-		words := 0
-		for i, dst := range xDests {
-			xIdxs[i] = compiledGroupRows(e.procs[dst].preGroups[pr.id])
-			words += len(xIdxs[i])
-		}
-		for i, dst := range yDests {
-			grps[i] = compileRows(pre[dst])
-			words += len(grps[i].rows)
-		}
-		arena := newValArena(words)
-		for i, dst := range xDests {
-			t.sends = append(t.sends, newSendPlan(pr.id, dst, xIdxs[i], rowKernel{}, arena))
-		}
-		for i, dst := range yDests {
-			t.ySends = append(t.ySends, newSendPlan(pr.id, dst, nil, grps[i], arena))
-		}
-		t.recv = []recvPlan{
-			// Phase-0 senders: the procs pr shipped fold partials to.
-			newRecvPlan(sortedKeys(pr.preGroups)),
-			// Phase-1 senders: the procs pr shipped x entries to.
-			newRecvPlan(sortedKeys(pr.xNeed)),
-		}
-	}
-	compileTransposeRecvX(e.procs)
-}
-
-// compileTransposeRecvX installs, on every destination, the transpose
-// extX slot translation for each sender's fixed x-row payload.
-func compileTransposeRecvX(procs []*proc) {
-	for _, pr := range procs {
-		for _, sp := range pr.t.sends {
-			dst := procs[sp.dest]
-			slots := make([]int, len(sp.xIdx))
-			for i, row := range sp.xIdx {
-				slots[i] = dst.t.extSlot[row]
-			}
-			dst.t.recvX[pr.id] = slots
-		}
-	}
-}
-
 // MultiplyTranspose computes y ← Aᵀx in parallel: x has the matrix's
 // row dimension, y its column dimension, and y is fully overwritten.
 // The first call compiles the transpose plan from the engine's retained
@@ -257,98 +134,8 @@ func compileTransposeRecvX(procs []*proc) {
 // reversed); steady-state calls spawn no goroutines and allocate
 // nothing. Like Multiply, calls must not overlap on one engine.
 func (e *Engine) MultiplyTranspose(x, y []float64) error {
-	a := e.d.A
-	if len(x) != a.Rows || len(y) != a.Cols {
-		panic("spmv: dimension mismatch")
-	}
-	e.ensureTranspose()
-	e.curKern = e.sel.forWidth(1)
-	return e.pool.dispatchOp(x, y, 0, true)
-}
-
-// runFusedT executes one processor's transpose part of the fused
-// algorithm: fill the [x-rows, partial-cols] packets, bank incoming
-// ones in sender order, then compute the locally-owned columns.
-//
-//spmv:hotpath
-func (e *Engine) runFusedT(pr *proc, x, y []float64, kid kernelID) {
-	t := pr.t
-	pc := e.phaseClock(pr)
-	for _, sp := range t.sends {
-		sp.fill(kid, x, t.extX) // partial kernels read local x only under s2D
-		e.procs[sp.dest].inbox[0] <- sp.buf
-	}
-	pc.lap(&e.pt.expandNs)
-	for _, pk := range t.recv[0].gather(pr.inbox[0]) {
-		slots := t.recvX[pk.from]
-		for i, v := range pk.xVal {
-			t.extX[slots[i]] = v
-		}
-		for i, j := range pk.yIdx {
-			y[j] += pk.yVal[i] // columns owned exclusively by this proc
-		}
-	}
-	pc.lap(&e.pt.foldNs)
-	ownOf(&t.own, &t.ownS, kid).addIntoK(kid, y, x, t.extX)
-	pc.lap(&e.pt.computeNs)
-}
-
-// runTwoPhaseT executes one processor's transpose part of the classic
-// algorithm: expand x rows, compute, fold column partials.
-//
-//spmv:hotpath
-func (e *Engine) runTwoPhaseT(pr *proc, x, y []float64, kid kernelID) {
-	t := pr.t
-	pc := e.phaseClock(pr)
-	// Phase 0 — Expand (x rows to their consumers).
-	for _, sp := range t.sends {
-		sp.fill(kid, x, t.extX)
-		e.procs[sp.dest].inbox[0] <- sp.buf
-	}
-	for _, pk := range t.recv[0].gather(pr.inbox[0]) {
-		slots := t.recvX[pk.from]
-		for i, v := range pk.xVal {
-			t.extX[slots[i]] = v
-		}
-	}
-	pc.lap(&e.pt.expandNs)
-	// Multiply.
-	ownOf(&t.own, &t.ownS, kid).addIntoK(kid, y, x, t.extX)
-	pc.lap(&e.pt.computeNs)
-	// Phase 1 — Fold (column partials to the column owners).
-	for _, sp := range t.ySends {
-		sp.fill(kid, x, t.extX)
-		e.procs[sp.dest].inbox[1] <- sp.buf
-	}
-	for _, pk := range t.recv[1].gather(pr.inbox[1]) {
-		for i, j := range pk.yIdx {
-			y[j] += pk.yVal[i]
-		}
-	}
-	pc.lap(&e.pt.foldNs)
-}
-
-// ---- blocked transpose ----
-
-// ensureTransposeBlock sizes the transpose block buffers for width
-// nrhs; like ensureBlock, growth allocates and repeat calls at or below
-// the cached capacity only re-slice.
-func (e *Engine) ensureTransposeBlock(nrhs int) {
-	if nrhs == e.tBlockNRHS {
-		return
-	}
-	for _, pr := range e.procs {
-		t := pr.t
-		t.extXB = growBlock(t.extXB, len(t.extSlot)*nrhs)
-		t.accB = growBlock(t.accB, nrhs)
-		for _, sp := range t.sends {
-			sp.ensureBlock(nrhs)
-		}
-		for _, sp := range t.ySends {
-			sp.ensureBlock(nrhs)
-		}
-	}
-	e.tBlockNRHS = nrhs
+	checkDims(x, y, e.d.A.Rows, e.d.A.Cols)
+	return e.dispatch(x, y, 0, true)
 }
 
 // MultiplyTransposeBlock computes Y ← AᵀX for nrhs right-hand sides in
@@ -357,75 +144,12 @@ func (e *Engine) ensureTransposeBlock(nrhs int) {
 // phase regardless of nrhs, zero steady-state allocations once sized,
 // and nrhs=1 bit-identical to MultiplyTranspose.
 func (e *Engine) MultiplyTransposeBlock(X, Y []float64, nrhs int) error {
-	a := e.d.A
-	checkBlockDims(X, Y, nrhs, a.Rows, a.Cols)
-	e.ensureTranspose()
-	e.ensureTransposeBlock(nrhs)
-	e.curKern = e.sel.forWidth(nrhs)
-	return e.pool.dispatchOp(X, Y, nrhs, true)
+	checkBlockDims(X, Y, nrhs, e.d.A.Rows, e.d.A.Cols)
+	return e.dispatch(X, Y, nrhs, true)
 }
 
 // MultiplyTransposeMulti computes Y[c] ← Aᵀ·X[c] for every column c in
 // one block transpose multiply; see Engine.MultiplyMulti.
 func (e *Engine) MultiplyTransposeMulti(X, Y [][]float64) error {
 	return e.io.multi(X, Y, e.d.A.Rows, e.d.A.Cols, e.MultiplyTransposeBlock)
-}
-
-// runFusedTBlock is runFusedT with nrhs-wide payloads.
-//
-//spmv:hotpath
-func (e *Engine) runFusedTBlock(pr *proc, x, y []float64, nrhs int, kid kernelID) {
-	t := pr.t
-	pc := e.phaseClock(pr)
-	for _, sp := range t.sends {
-		sp.fillBlock(kid, x, t.extXB, nrhs)
-		e.procs[sp.dest].inbox[0] <- sp.bufB
-	}
-	pc.lap(&e.pt.expandNs)
-	for _, pk := range t.recv[0].gather(pr.inbox[0]) {
-		slots := t.recvX[pk.from]
-		for i, s := range slots {
-			copy(t.extXB[s*nrhs:(s+1)*nrhs], pk.xVal[i*nrhs:(i+1)*nrhs])
-		}
-		for i, j := range pk.yIdx {
-			addBlock(y[j*nrhs:(j+1)*nrhs], pk.yVal[i*nrhs:(i+1)*nrhs])
-		}
-	}
-	pc.lap(&e.pt.foldNs)
-	ownOf(&t.own, &t.ownS, kid).addIntoBlockK(kid, y, x, t.extXB, nrhs, t.accB)
-	pc.lap(&e.pt.computeNs)
-}
-
-// runTwoPhaseTBlock is runTwoPhaseT with nrhs-wide payloads.
-//
-//spmv:hotpath
-func (e *Engine) runTwoPhaseTBlock(pr *proc, x, y []float64, nrhs int, kid kernelID) {
-	t := pr.t
-	pc := e.phaseClock(pr)
-	// Phase 0 — Expand.
-	for _, sp := range t.sends {
-		sp.fillBlock(kid, x, t.extXB, nrhs)
-		e.procs[sp.dest].inbox[0] <- sp.bufB
-	}
-	for _, pk := range t.recv[0].gather(pr.inbox[0]) {
-		slots := t.recvX[pk.from]
-		for i, s := range slots {
-			copy(t.extXB[s*nrhs:(s+1)*nrhs], pk.xVal[i*nrhs:(i+1)*nrhs])
-		}
-	}
-	pc.lap(&e.pt.expandNs)
-	// Multiply.
-	ownOf(&t.own, &t.ownS, kid).addIntoBlockK(kid, y, x, t.extXB, nrhs, t.accB)
-	pc.lap(&e.pt.computeNs)
-	// Phase 1 — Fold.
-	for _, sp := range t.ySends {
-		sp.fillBlock(kid, x, t.extXB, nrhs)
-		e.procs[sp.dest].inbox[1] <- sp.bufB
-	}
-	for _, pk := range t.recv[1].gather(pr.inbox[1]) {
-		for i, j := range pk.yIdx {
-			addBlock(y[j*nrhs:(j+1)*nrhs], pk.yVal[i*nrhs:(i+1)*nrhs])
-		}
-	}
-	pc.lap(&e.pt.foldNs)
 }
