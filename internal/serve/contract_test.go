@@ -63,6 +63,10 @@ func TestHTTPContractTable(t *testing.T) {
 		}
 	}
 	x196 := make([]float64, 196)
+	// 4·1e308 overflows in row 0 whatever the order of its sum; every
+	// other row stays finite.
+	overflow196 := make([]float64, 196)
+	overflow196[0] = 1e308
 
 	cases := []struct {
 		name          string
@@ -77,6 +81,7 @@ func TestHTTPContractTable(t *testing.T) {
 		wantCode      string
 		wantRetryable bool
 		wantRetryHdr  bool
+		wantError     string // the envelope's message, where it is contract
 	}{
 		// -- /v1/multiply --
 		{name: "multiply malformed json", method: "POST", path: "/v1/multiply",
@@ -166,6 +171,17 @@ func TestHTTPContractTable(t *testing.T) {
 			body: jsonBody(multiplyRequest{engineRequest: engineRequest{Matrix: "lap"},
 				X: x196, DeadlineMs: 50}),
 			wantStatus: 504, wantCode: CodeDeadline, wantRetryable: true},
+
+		// A finite request whose product is not: JSON has no literal for it,
+		// and the reply is refused whole, before a byte of it is written.
+		{name: "multiply non-finite y", method: "POST", path: "/v1/multiply",
+			body:       jsonBody(multiplyRequest{engineRequest: engineRequest{Matrix: "lap"}, X: overflow196}),
+			wantStatus: 500, wantCode: CodeInternal,
+			wantError: "wire: result y[0] is +Inf: not representable in JSON; use application/x-spmv-frame"},
+		{name: "multiply non-finite ys", method: "POST", path: "/v1/multiply",
+			body:       jsonBody(multiplyRequest{engineRequest: engineRequest{Matrix: "lap"}, Xs: [][]float64{x196, overflow196}}),
+			wantStatus: 500, wantCode: CodeInternal,
+			wantError: "wire: result ys[1][0] is +Inf: not representable in JSON; use application/x-spmv-frame"},
 
 		// -- /v1/solve --
 		{name: "solve malformed json", method: "POST", path: "/v1/solve",
@@ -314,6 +330,9 @@ func TestHTTPContractTable(t *testing.T) {
 			if env.Code != tc.wantCode {
 				t.Fatalf("code %q, want %q (%s)", env.Code, tc.wantCode, out.Bytes())
 			}
+			if tc.wantError != "" && env.Error != tc.wantError {
+				t.Fatalf("error %q, want %q", env.Error, tc.wantError)
+			}
 			if env.Retryable != tc.wantRetryable {
 				t.Fatalf("retryable %v, want %v", env.Retryable, tc.wantRetryable)
 			}
@@ -360,7 +379,10 @@ func postRaw(t *testing.T, url, contentType, auth string, body []byte) (*http.Re
 // TestJSONBinaryBitIdentical is the tentpole contract: the same
 // multi-RHS multiply through JSON and through the binary frame path
 // returns bit-identical floats, forward and transpose, with and without
-// a linger.
+// a linger — on the small matrix, whose vectors the JSON codec handles
+// inline, and on one whose 10 000-value vectors (200 kB of text each) it
+// parses and writes in segments wherever GOMAXPROCS allows (this test
+// runs under -race, and again at GOMAXPROCS=1 in CI's one-executor step).
 func TestJSONBinaryBitIdentical(t *testing.T) {
 	forEachLingerMode(t, testJSONBinaryBitIdentical)
 }
@@ -368,12 +390,19 @@ func TestJSONBinaryBitIdentical(t *testing.T) {
 func testJSONBinaryBitIdentical(t *testing.T, opt Options) {
 	opt.Seed = 1
 	ts, p := newTestServerOpt(t, opt)
-	a, err := p.Matrix("lap")
-	if err != nil {
+	if err := p.AddMatrix("lap100", testMatrix(t, 100, 100)); err != nil {
 		t.Fatal(err)
 	}
 	r := rand.New(rand.NewSource(11))
-	for _, transpose := range []bool{false, true} {
+	for _, tc := range []struct {
+		matrix    string
+		transpose bool
+	}{{"lap", false}, {"lap", true}, {"lap100", false}, {"lap100", true}} {
+		a, err := p.Matrix(tc.matrix)
+		if err != nil {
+			t.Fatal(err)
+		}
+		transpose := tc.transpose
 		n := a.Cols
 		if transpose {
 			n = a.Rows
@@ -384,20 +413,29 @@ func testJSONBinaryBitIdentical(t *testing.T, opt Options) {
 		}
 
 		jreq, _ := json.Marshal(multiplyRequest{
-			engineRequest: engineRequest{Matrix: "lap", Method: "s2d", K: 4},
+			engineRequest: engineRequest{Matrix: tc.matrix, Method: "s2d", K: 4},
 			Xs:            xs, Transpose: transpose,
 		})
 		resp, jbody := postRaw(t, ts.URL+"/v1/multiply", "application/json", "", jreq)
 		if resp.StatusCode != 200 {
 			t.Fatalf("json multiply: %d %s", resp.StatusCode, jbody)
 		}
+		// Like the frame below: the length is declared, nothing is chunked.
+		if resp.ContentLength != int64(len(jbody)) || len(resp.TransferEncoding) != 0 {
+			t.Fatalf("json response Content-Length %d, Transfer-Encoding %v; body is %d bytes",
+				resp.ContentLength, resp.TransferEncoding, len(jbody))
+		}
 		var jresp multiplyResponse
 		if err := json.Unmarshal(jbody, &jresp); err != nil {
 			t.Fatal(err)
 		}
+		// The reply is what json.Marshal makes of it, byte for byte.
+		if again, _ := json.Marshal(jresp); !bytes.Equal(append(again, '\n'), jbody) {
+			t.Fatalf("%s: json reply is not json.Marshal of its own decoding", tc.matrix)
+		}
 
 		breq := mustFrame(t, &wire.Frame{
-			Op: wire.OpMultiplyReq, Matrix: "lap", Method: "s2d", K: 4,
+			Op: wire.OpMultiplyReq, Matrix: tc.matrix, Method: "s2d", K: 4,
 			Vectors: xs, Transpose: transpose,
 		})
 		resp, bbody := postRaw(t, ts.URL+"/v1/multiply", wire.ContentType, "", breq)
@@ -428,10 +466,45 @@ func testJSONBinaryBitIdentical(t *testing.T, opt Options) {
 				jb := math.Float64bits(jresp.Ys[i][j])
 				bb := math.Float64bits(bframe.Vectors[i][j])
 				if jb != bb {
-					t.Fatalf("transpose=%v ys[%d][%d]: json bits %x, binary bits %x", transpose, i, j, jb, bb)
+					t.Fatalf("%s transpose=%v ys[%d][%d]: json bits %x, binary bits %x", tc.matrix, transpose, i, j, jb, bb)
 				}
 			}
 		}
+
+		// The single-vector form takes the same paths: "x" in, "y" out.
+		jreq, _ = json.Marshal(multiplyRequest{
+			engineRequest: engineRequest{Matrix: tc.matrix, Method: "s2d", K: 4},
+			X:             xs[0], Transpose: transpose,
+		})
+		resp, jbody = postRaw(t, ts.URL+"/v1/multiply", "application/json", "", jreq)
+		if resp.StatusCode != 200 {
+			t.Fatalf("json multiply x: %d %s", resp.StatusCode, jbody)
+		}
+		jresp = multiplyResponse{}
+		if err := json.Unmarshal(jbody, &jresp); err != nil {
+			t.Fatal(err)
+		}
+		if len(jresp.Y) != len(bframe.Vectors[0]) {
+			t.Fatalf("%s: y has %d values, want %d", tc.matrix, len(jresp.Y), len(bframe.Vectors[0]))
+		}
+		for j := range jresp.Y {
+			if math.Float64bits(jresp.Y[j]) != math.Float64bits(bframe.Vectors[0][j]) {
+				t.Fatalf("%s transpose=%v y[%d]: json %v, binary %v", tc.matrix, transpose, j, jresp.Y[j], bframe.Vectors[0][j])
+			}
+		}
+	}
+
+	// A product JSON cannot carry (see the contract table) still goes out
+	// as a frame, infinity and all.
+	x := make([]float64, 196)
+	x[0] = 1e308
+	resp, body := postRaw(t, ts.URL+"/v1/multiply", wire.ContentType, "",
+		mustFrame(t, &wire.Frame{Op: wire.OpMultiplyReq, Matrix: "lap", Vectors: [][]float64{x}}))
+	if resp.StatusCode != 200 {
+		t.Fatalf("binary multiply with an overflowing product: %d %s", resp.StatusCode, body)
+	}
+	if f, err := wire.Decode(body); err != nil || !math.IsInf(f.Vectors[0][0], 1) {
+		t.Fatalf("overflowing product: frame %+v, err %v; want y[0] = +Inf", f, err)
 	}
 }
 

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -187,16 +188,27 @@ func TestTimingsBlock(t *testing.T) {
 		}
 	}
 
-	// Without the opt-in, no block.
-	_, body = postJSON(t, ts.URL+"/v1/multiply", multiplyRequest{
+	// Without the opt-in, no block — and the same vector bytes before it:
+	// the block is appended to a reply encoded once, not a second marshal.
+	_, plainBody := postJSON(t, ts.URL+"/v1/multiply", multiplyRequest{
 		engineRequest: engineRequest{Matrix: "lap"}, X: x,
 	})
 	var plain map[string]json.RawMessage
-	if err := json.Unmarshal(body, &plain); err != nil {
+	if err := json.Unmarshal(plainBody, &plain); err != nil {
 		t.Fatal(err)
 	}
 	if _, ok := plain["timings"]; ok {
 		t.Fatal("timings block present without opt-in")
+	}
+	vectorBytes := func(reply []byte) []byte {
+		end := bytes.Index(reply, []byte(`,"method"`))
+		if end < 0 || !bytes.HasPrefix(reply, []byte(`{"y":[`)) {
+			t.Fatalf("reply %.60q… does not open with y and continue with method", reply)
+		}
+		return reply[:end]
+	}
+	if !bytes.Equal(vectorBytes(body), vectorBytes(plainBody)) {
+		t.Fatal("y differs between the reply with timings and the reply without")
 	}
 
 	// The JSON body flag works too, on solve as well.

@@ -260,14 +260,62 @@ type multiplyRequest struct {
 	Timings bool `json:"timings,omitempty"`
 }
 
+// multiplyResponse is the JSON reply. The handler never marshals it
+// whole: the vectors are written by wire.JSONBody and multiplyMeta's
+// members follow them, which is byte for byte json.Marshal of this.
 type multiplyResponse struct {
-	Y         []float64     `json:"y,omitempty"`
-	Ys        [][]float64   `json:"ys,omitempty"`
+	Y  []float64   `json:"y,omitempty"`
+	Ys [][]float64 `json:"ys,omitempty"`
+	multiplyMeta
+}
+
+type multiplyMeta struct {
 	Method    string        `json:"method"`
 	K         int           `json:"k"`
 	Schedule  string        `json:"schedule"`
 	ElapsedMs float64       `json:"elapsed_ms"`
 	Timings   *TimingsBlock `json:"timings,omitempty"`
+}
+
+// decodeJSON is json.Unmarshal(body, req) — the same verdict, message
+// and bits — at the cost of the request's floats: wire.SplitJSON parses
+// x and xs in place and encoding/json sees only what is left of the
+// object. When the walk declines the body, or encoding/json refuses the
+// remainder, the whole body goes to encoding/json instead.
+func (req *multiplyRequest) decodeJSON(body []byte) error {
+	rest, x, xs, ok := wire.SplitJSON(body, "x", "xs")
+	if ok && json.Unmarshal(rest, req) == nil {
+		req.X, req.Xs = x, xs
+		return nil
+	}
+	*req = multiplyRequest{} // a refused remainder may have filled fields
+	return json.Unmarshal(body, req)
+}
+
+// writeReply sends a 200 JSON reply: the vectors already encoded into
+// reply, then meta's members. With the timings block wanted, the encode
+// stage is the vectors alone — closed here so the block can carry it —
+// and otherwise runs to the last byte written. It returns the bytes
+// sent.
+func (rt *reqTrace) writeReply(w http.ResponseWriter, reply *wire.JSONBody, meta any, block **TimingsBlock, timings bool) int {
+	if timings {
+		rt.mark(StageEncode)
+		*block = rt.block()
+	}
+	rest, err := json.Marshal(meta)
+	if err != nil {
+		writeError(w, err)
+		return 0
+	}
+	reply.Finish(rest)
+	w.Header().Set("Content-Type", "application/json")
+	w.Header().Set("Content-Length", strconv.Itoa(reply.Len()))
+	w.WriteHeader(http.StatusOK)
+	_, _ = reply.WriteTo(w) // a client that hung up
+	if !timings {
+		rt.mark(StageEncode)
+	}
+	return reply.Len()
 }
 
 // wantTimings reports whether the response should carry the stage
@@ -301,7 +349,7 @@ func (s *Server) handleMultiply(w http.ResponseWriter, r *http.Request, tn *Tena
 			Xs:            f.Vectors, Transpose: f.Transpose, DeadlineMs: f.DeadlineMs,
 		}
 	} else {
-		if err := json.Unmarshal(body, &req); err != nil {
+		if err := req.decodeJSON(body); err != nil {
 			writeErrCode(w, http.StatusBadRequest, CodeBadRequest, "bad request body: "+err.Error())
 			return
 		}
@@ -347,29 +395,22 @@ func (s *Server) handleMultiply(w http.ResponseWriter, r *http.Request, tn *Tena
 		})
 		rt.mark(StageEncode)
 	} else {
-		resp := multiplyResponse{
+		meta := multiplyMeta{
 			Method: h.Key().Method, K: h.Key().K, Schedule: h.Schedule(), ElapsedMs: msSince(t0),
 		}
-		if single {
-			resp.Y = ys[0]
-		} else {
-			resp.Ys = ys
+		reply := wire.NewJSONBody()
+		defer reply.Release()
+		switch { // y and ys are omitempty
+		case single && len(ys[0]) > 0:
+			err = reply.Vector("y", ys[0])
+		case !single && len(ys) > 0:
+			err = reply.Vectors("ys", ys)
 		}
-		if wantTimings(r, req.Timings) {
-			// Measure the dominant marshal (the result vectors) as the
-			// encode stage, then attach the block; the top-level stages are
-			// contiguous, so their sum equals the block's total exactly.
-			if _, merr := json.Marshal(resp); merr != nil {
-				writeError(w, merr)
-				return
-			}
-			rt.mark(StageEncode)
-			resp.Timings = rt.block()
-			sent = len(marshalJSON(w, http.StatusOK, resp))
-		} else {
-			sent = len(marshalJSON(w, http.StatusOK, resp))
-			rt.mark(StageEncode)
+		if err != nil {
+			writeError(w, err)
+			return
 		}
+		sent = rt.writeReply(w, reply, &meta, &meta.Timings, wantTimings(r, req.Timings))
 	}
 	tn.CountBytes(enc, len(body), sent)
 }
@@ -390,8 +431,13 @@ type solveRequest struct {
 	Timings bool `json:"timings,omitempty"`
 }
 
+// solveResponse is the JSON reply, written as multiplyResponse is.
 type solveResponse struct {
-	X          []float64     `json:"x"`
+	X []float64 `json:"x"`
+	solveMeta
+}
+
+type solveMeta struct {
 	Iterations int           `json:"iterations"`
 	Residual   float64       `json:"residual"`
 	Converged  bool          `json:"converged"`
@@ -400,6 +446,17 @@ type solveResponse struct {
 	K          int           `json:"k"`
 	ElapsedMs  float64       `json:"elapsed_ms"`
 	Timings    *TimingsBlock `json:"timings,omitempty"`
+}
+
+// decodeJSON is multiplyRequest's, for b.
+func (req *solveRequest) decodeJSON(body []byte) error {
+	rest, b, _, ok := wire.SplitJSON(body, "b", "")
+	if ok && json.Unmarshal(rest, req) == nil {
+		req.B = b
+		return nil
+	}
+	*req = solveRequest{}
+	return json.Unmarshal(body, req)
 }
 
 // handleSolve runs an iterative solver on the pooled engine: CG for
@@ -438,7 +495,7 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request, tn *Tenant,
 			Tol: f.Tol, MaxIter: f.MaxIter, DeadlineMs: f.DeadlineMs,
 		}
 	} else {
-		if err := json.Unmarshal(body, &req); err != nil {
+		if err := req.decodeJSON(body); err != nil {
 			writeErrCode(w, http.StatusBadRequest, CodeBadRequest, "bad request body: "+err.Error())
 			return
 		}
@@ -552,22 +609,17 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request, tn *Tenant,
 		})
 		rt.mark(StageEncode)
 	} else {
-		resp := solveResponse{
-			X: x, Iterations: res.Iterations, Residual: res.Residual, Converged: res.Converged,
+		meta := solveMeta{
+			Iterations: res.Iterations, Residual: res.Residual, Converged: res.Converged,
 			Solver: solverName, Method: h.Key().Method, K: h.Key().K, ElapsedMs: msSince(t0),
 		}
-		if wantTimings(r, req.Timings) {
-			if _, merr := json.Marshal(resp); merr != nil {
-				writeError(w, merr)
-				return
-			}
-			rt.mark(StageEncode)
-			resp.Timings = rt.block()
-			sent = len(marshalJSON(w, http.StatusOK, resp))
-		} else {
-			sent = len(marshalJSON(w, http.StatusOK, resp))
-			rt.mark(StageEncode)
+		reply := wire.NewJSONBody()
+		defer reply.Release()
+		if err := reply.Vector("x", x); err != nil {
+			writeError(w, err)
+			return
 		}
+		sent = rt.writeReply(w, reply, &meta, &meta.Timings, wantTimings(r, req.Timings))
 	}
 	tn.CountBytes(enc, len(body), sent)
 }

@@ -14,7 +14,8 @@
 //   - explicit conversions to interface types
 //   - string concatenation and string<->[]byte/[]rune conversions
 //   - calls into fmt, log, log/slog, errors, sort, strings, strconv —
-//     the formatting/boxing packages that allocate by design
+//     the formatting/boxing packages that allocate by design — except
+//     strconv.ParseFloat and strconv.AppendFloat (see noAllocFuncs)
 //
 // Functions annotated //spmv:coldpath (fault branches, pre-verified
 // cold) are not traversed. Dynamic calls — through interface values or
@@ -54,6 +55,18 @@ var allocPkgs = map[string]bool{
 	"strconv":  true,
 }
 
+// noAllocFuncs are the entry points of allocPkgs that a hot path may
+// call, taken on their contract (their bodies append, which the
+// analyzer cannot tell from growth): strconv.ParseFloat allocates only the error it returns for a
+// literal it refuses, and strconv.AppendFloat writes into the slice it
+// is given and grows it only when its capacity runs out, which the
+// caller rules out by handing it a preallocated window. The JSON vector
+// codec (internal/wire) is built on the pair.
+var noAllocFuncs = map[string]bool{
+	"strconv.ParseFloat":  true,
+	"strconv.AppendFloat": true,
+}
+
 var engine = &reach.Config{
 	Label:       "hot path",
 	RootMarker:  lintutil.MarkHotPath,
@@ -64,6 +77,9 @@ var engine = &reach.Config{
 			return "call to " + fn.Pkg().Name() + "." + fn.Name() + " (allocates)", true
 		}
 		return "", false
+	},
+	TrustedCall: func(fn *types.Func) bool {
+		return fn.Pkg() != nil && noAllocFuncs[fn.Pkg().Path()+"."+fn.Name()]
 	},
 	NewSummary: func() reach.Summary { return new(Summary) },
 }

@@ -2,6 +2,7 @@ package kernels
 
 import (
 	"fmt"
+	"strconv"
 
 	"kernels/leaf"
 )
@@ -52,6 +53,14 @@ func CleanKernel(dst, x []float64) {
 		s += x[i] * leaf.Clean(x[i], 2)
 	}
 	dst[0] = s
+}
+
+//spmv:hotpath
+func FloatText(dst []byte, s string) float64 {
+	_ = strconv.AppendFloat(dst[:0], 1.5, 'f', -1, 64) // exempt: writes into dst
+	_ = strconv.Itoa(len(dst))                         // want `hot path: call to strconv.Itoa \(allocates\)`
+	f, _ := strconv.ParseFloat(s, 64)                  // exempt: allocates only its error
+	return f
 }
 
 // unannotated: allocations here are fine.

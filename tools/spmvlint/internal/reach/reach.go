@@ -64,6 +64,10 @@ type Config struct {
 	// module (no fact, foreign package) is itself forbidden, e.g.
 	// fmt.Sprintf for hot paths or time.Now for deterministic ones.
 	ExternalCall func(fn *types.Func) (desc string, bad bool)
+	// TrustedCall (optional) names functions outside the package whose
+	// calls are neither reported nor followed: their contract, not their
+	// body, is what the caller relies on.
+	TrustedCall func(fn *types.Func) bool
 	// NewSummary returns a fresh fact of the analyzer's concrete type.
 	NewSummary func() Summary
 	// MaxSites caps each exported summary (0 means 32): one broken leaf
@@ -270,6 +274,9 @@ func (c *Config) scanBody(pass *analysis.Pass, fi *funcInfo) {
 			return true
 		}
 		fn = fn.Origin()
+		if c.TrustedCall != nil && fn.Pkg() != pass.Pkg && c.TrustedCall(fn) {
+			return true
+		}
 		if c.ExternalCall != nil && fn.Pkg() != pass.Pkg {
 			if desc, bad := c.ExternalCall(fn); bad {
 				fi.direct = append(fi.direct, site{
