@@ -8,18 +8,12 @@
 //	spmvbench -all                  # everything
 //	spmvbench -table 6 -k 64,256    # override the K list
 //	spmvbench -full                 # paper-scale matrices (slow)
-//	spmvbench -json > BENCH.json    # machine-readable engine benchmarks
-//	spmvbench -json -methods all    # benchmark every registered method
-//	spmvbench -json -nrhs 1,8,32    # batched SpMM sweep (MultiplyBlock)
-//	spmvbench -json -transpose      # also sweep y <- A'x (MultiplyTranspose)
-//	spmvbench -json -kernels auto   # autotuned kernel backends
-//	spmvbench -nrhstable            # multi-RHS method comparison table
+//	spmvbench -nrhstable -nrhs 1,8  # multi-RHS method comparison table
 //
-// Each -json record carries the method name, matrix, seed, K, nrhs, op
-// ("" forward, "transpose" for A'x), and the kernel selector ("" for
-// the scalar reference), so BENCH_*.json baselines from successive PRs
-// are directly comparable (cmd/benchdiff consumes exactly these
-// records).
+// It prints the paper's modelled quantities (volume, message counts,
+// modelled time per method). What times the engines and the serving
+// stack is benchmark/ (bash benchmark/run.sh); kernel-backend sweeps are
+// the go test benchmarks in internal/spmv.
 package main
 
 import (
@@ -27,7 +21,6 @@ import (
 	"fmt"
 	"os"
 	"runtime/pprof"
-	"strings"
 
 	"repro/internal/cliutil"
 	"repro/internal/harness"
@@ -44,19 +37,10 @@ func main() {
 	seed := flag.Int64("seed", 1, "base RNG seed")
 	kList := flag.String("k", "", "comma-separated K override, e.g. 16,64,256")
 	par := flag.Int("p", 0, "max concurrent experiment cells (default NumCPU)")
-	jsonBench := flag.Bool("json", false, "benchmark steady-state Multiply per method and emit JSON results")
-	methodList := flag.String("methods", "1d,2d,s2d,s2d-b",
-		"comma-separated registry methods for -json, or 'all'")
 	nrhsList := flag.String("nrhs", "",
-		"comma-separated right-hand-side counts for -json and -nrhstable, e.g. 1,8,32")
+		"comma-separated right-hand-side counts for -nrhstable, e.g. 1,8,32")
 	nrhsTable := flag.Bool("nrhstable", false,
 		"render the multi-RHS (batched SpMM) method comparison table")
-	transpose := flag.Bool("transpose", false,
-		"with -json, additionally benchmark the transpose kernels (y <- A'x)")
-	kernelSel := flag.String("kernels", "",
-		"with -json, comma-separated kernel selectors to sweep: backend names "+
-			"(scalar,reg,sorted,sortedreg,relaxed) and/or 'auto' (plan-time autotuner); "+
-			"empty = scalar only")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile of the run to this file")
 	flag.Parse()
 
@@ -76,20 +60,8 @@ func main() {
 	}
 	cfg.Ks = parseIntList("-k", *kList)
 	nrhs := parseIntList("-nrhs", *nrhsList)
-	if *nrhsList != "" && !*jsonBench && !*nrhsTable && !*all {
-		fatalUsage("-nrhs only applies to -json, -nrhstable, or -all")
-	}
-	if *transpose && !*jsonBench {
-		fatalUsage("-transpose only applies to -json")
-	}
-	if *kernelSel != "" && !*jsonBench {
-		fatalUsage("-kernels only applies to -json")
-	}
-	var kernels []string
-	for _, s := range strings.Split(*kernelSel, ",") {
-		if s = strings.TrimSpace(s); s != "" {
-			kernels = append(kernels, s)
-		}
+	if *nrhsList != "" && !*nrhsTable && !*all {
+		fatalUsage("-nrhs only applies to -nrhstable or -all")
 	}
 
 	stopProfile := func() {}
@@ -130,19 +102,6 @@ func main() {
 	}
 
 	switch {
-	case *jsonBench:
-		methods := strings.Split(*methodList, ",")
-		if *methodList == "all" {
-			methods = method.Names()
-		}
-		for i := range methods {
-			methods[i] = strings.TrimSpace(methods[i])
-		}
-		if err := runJSONBench(w, cfg, methods, nrhs, *transpose, kernels); err != nil {
-			stopProfile()
-			fmt.Fprintf(os.Stderr, "spmvbench: %v\n", err)
-			os.Exit(1)
-		}
 	case *all:
 		harness.Figure1(w)
 		for n := 1; n <= 7; n++ {

@@ -24,13 +24,11 @@
 // Tables I–VII and Figure 1 — plus the multi-RHS scaling table the paper
 // never measured — as data-driven loops over the registry
 // (internal/harness), and the multi-tenant serving subsystem — a
-// refcounted LRU engine pool with a request-coalescing batch scheduler,
-// HTTP JSON API, and closed-loop load generator (internal/serve,
-// cmd/spmvserve, cmd/loadgen).
+// refcounted LRU engine pool with a request-coalescing batch scheduler
+// and an HTTP JSON API (internal/serve, cmd/spmvserve).
 //
 // See README.md for a tour and DESIGN.md for the system inventory and
 // layer contracts. The benchmarks in bench_test.go regenerate one table
-// or figure each; BENCH_*.json files hold the machine-readable engine
-// baselines emitted by cmd/spmvbench -json, and LOADGEN_*.json the
-// serving-throughput baselines emitted by cmd/spmvserve -selftest.
+// or figure each; what times the engines and the serving stack end to
+// end is the benchmark/ module (BENCHMARK.json, bash benchmark/run.sh).
 package repro

@@ -51,8 +51,8 @@ func NewLogger(w io.Writer, level slog.Level, format string) (*slog.Logger, erro
 
 // EventCounter is a slog.Handler middleware that counts records by
 // their "event" attribute value while forwarding to the wrapped
-// handler. chaos-smoke uses it to assert that each quarantine/breaker
-// transition emits exactly one structured event.
+// handler. The serving tests use it to assert that each
+// quarantine/breaker transition emits exactly one structured event.
 type EventCounter struct {
 	inner slog.Handler
 	tally *eventTally // shared across WithAttrs/WithGroup clones

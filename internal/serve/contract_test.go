@@ -62,6 +62,7 @@ func TestHTTPContractTable(t *testing.T) {
 			return b
 		}
 	}
+	const mmHeader = "%%MatrixMarket matrix coordinate real general\n"
 	x196 := make([]float64, 196)
 	// 4·1e308 overflows in row 0 whatever the order of its sum; every
 	// other row stays finite.
@@ -171,6 +172,12 @@ func TestHTTPContractTable(t *testing.T) {
 			body: jsonBody(multiplyRequest{engineRequest: engineRequest{Matrix: "lap"},
 				X: x196, DeadlineMs: 50}),
 			wantStatus: 504, wantCode: CodeDeadline, wantRetryable: true},
+		// The longest deadline a client can ask for is not the shortest: its
+		// nanoseconds overflow an int64 and used to wrap into the past.
+		{name: "multiply deadline_ms overflow", method: "POST", path: "/v1/multiply",
+			body: jsonBody(multiplyRequest{engineRequest: engineRequest{Matrix: "lap"},
+				X: x196, DeadlineMs: 9300000000000}),
+			wantStatus: 200},
 
 		// A finite request whose product is not: JSON has no literal for it,
 		// and the reply is refused whole, before a byte of it is written.
@@ -216,6 +223,22 @@ func TestHTTPContractTable(t *testing.T) {
 		// -- POST /v1/matrices --
 		{name: "upload garbage", method: "POST", path: "/v1/matrices?name=bad",
 			body:       func(*testing.T) []byte { return []byte("not a matrix") },
+			wantStatus: 400, wantCode: CodeBadRequest},
+		// A size line that cannot be true is a parse error, not a panic in
+		// make() and a reset connection.
+		{name: "upload negative count", method: "POST", path: "/v1/matrices?name=bad",
+			body:       func(*testing.T) []byte { return []byte(mmHeader + "1 1 -1\n") },
+			wantStatus: 400, wantCode: CodeBadRequest},
+		{name: "upload impossible count", method: "POST", path: "/v1/matrices?name=bad",
+			body:       func(*testing.T) []byte { return []byte(mmHeader + "1 1 4611686018427387904\n") },
+			wantStatus: 400, wantCode: CodeBadRequest},
+		{name: "upload negative dimension", method: "POST", path: "/v1/matrices?name=bad",
+			body:       func(*testing.T) []byte { return []byte(mmHeader + "-5 1 0\n") },
+			wantStatus: 400, wantCode: CodeBadRequest},
+		// Nor may it cost memory its entries did not pay for: this one would
+		// be a 16 GB row-pointer array, an OOM that takes the process down.
+		{name: "upload empty giant", method: "POST", path: "/v1/matrices?name=bad",
+			body:       func(*testing.T) []byte { return []byte(mmHeader + "2000000000 1 0\n") },
 			wantStatus: 400, wantCode: CodeBadRequest},
 		{name: "upload blank name", method: "POST", path: "/v1/matrices?name=%20%20",
 			body:       func(*testing.T) []byte { return []byte("x") },
@@ -325,6 +348,9 @@ func TestHTTPContractTable(t *testing.T) {
 
 			if resp.StatusCode != tc.wantStatus {
 				t.Fatalf("status %d, want %d (%s)", resp.StatusCode, tc.wantStatus, out.Bytes())
+			}
+			if tc.wantStatus == http.StatusOK {
+				return // a row pinning that a request is not an error
 			}
 			env := decodeEnvelope(t, out.Bytes())
 			if env.Code != tc.wantCode {

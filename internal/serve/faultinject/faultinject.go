@@ -16,7 +16,6 @@ package faultinject
 
 import (
 	"fmt"
-	"sort"
 	"strconv"
 	"strings"
 	"sync"
@@ -56,7 +55,7 @@ func New(rules ...Rule) *Injector {
 	return inj
 }
 
-// ParseSchedule parses the -faults flag form: comma-separated
+// ParseSchedule parses a schedule written as comma-separated
 // point@nth[xcount] entries, e.g. "worker.panic@40,build.fail@2x3".
 func ParseSchedule(s string) ([]Rule, error) {
 	var rules []Rule
@@ -123,23 +122,4 @@ func (inj *Injector) Fired(point string) int {
 	inj.mu.Lock()
 	defer inj.mu.Unlock()
 	return inj.fired[point]
-}
-
-// Stats summarizes every point that was reached, for chaos reports.
-func (inj *Injector) Stats() map[string][2]int {
-	if inj == nil {
-		return nil
-	}
-	inj.mu.Lock()
-	defer inj.mu.Unlock()
-	out := make(map[string][2]int, len(inj.hits))
-	points := make([]string, 0, len(inj.hits))
-	for p := range inj.hits {
-		points = append(points, p)
-	}
-	sort.Strings(points)
-	for _, p := range points {
-		out[p] = [2]int{inj.hits[p], inj.fired[p]}
-	}
-	return out
 }

@@ -10,8 +10,8 @@ import (
 	"repro/internal/spmv"
 )
 
-// Stage names used across the span tree, the stage histograms, and the
-// selftest table. Top-level request stages are contiguous wall-time
+// Stage names used across the span tree and the stage histograms.
+// Top-level request stages are contiguous wall-time
 // intervals; queue/assemble/flush attribute the scheduler's share, and
 // expand/compute/fold attribute the engine flush (sampled from worker 0).
 const (

@@ -286,8 +286,7 @@ func TestMetricsNegotiation(t *testing.T) {
 	x := make([]float64, 196)
 	postJSON(t, ts.URL+"/v1/multiply", multiplyRequest{engineRequest: engineRequest{Matrix: "lap"}, X: x})
 
-	// No Accept header (what loadgen and the existing JSON consumers
-	// send) → JSON.
+	// No Accept header (what the existing JSON consumers send) → JSON.
 	resp, body := getWith(t, ts.URL+"/metrics", nil)
 	if ct := resp.Header.Get("Content-Type"); ct != "application/json" {
 		t.Fatalf("default Content-Type = %q, want application/json", ct)

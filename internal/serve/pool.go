@@ -397,7 +397,7 @@ func tunedWidths(nnz int) []int {
 // logBreakerLocked emits one structured event per breaker state change
 // (called with p.mu held; transitions are rare, so logging under the
 // lock is fine). Event names are distinct per target state so
-// chaos-smoke can assert "one breaker_open per trip" by counting.
+// TestChaosAcceptance can assert "one breaker_open per trip" by counting.
 func (p *Pool) logBreakerLocked(key EngineKey, prev breakerState, br *breaker) {
 	if br.state == prev {
 		return

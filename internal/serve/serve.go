@@ -35,10 +35,11 @@
 //     /v1/multiply, /v1/solve (CG on square systems, LSQR/CGNR on
 //     rectangular ones, driving the engine's transpose plan),
 //     /v1/methods, /v1/matrices (MatrixMarket upload), and /metrics.
-//   - LoadGen: a closed-loop load generator that sweeps offered
-//     concurrency against a running server and reports
-//     throughput/latency/achieved-batch-width records in the same JSON
-//     shape cmd/benchdiff gates on.
+//
+// The package serves and nothing else: the closed-loop HTTP clients that
+// exercise it are test code (rig_test.go, under TestServingSweep,
+// TestTenantMixOverHTTP and TestChaosAcceptance), and what times it is
+// the benchmark/ module.
 package serve
 
 import (

@@ -160,11 +160,15 @@ func (s *Server) handleReadyz(w http.ResponseWriter, _ *http.Request) {
 
 // requestCtx derives the request context with the effective deadline:
 // the request's own deadline_ms when given, else the server default,
-// else no deadline.
+// else no deadline. A deadline_ms whose nanoseconds overflow a
+// time.Duration (above ≈ 9.22e12: 292 years) is clamped to the longest
+// one, not left to wrap into a deadline already past.
 func (s *Server) requestCtx(r *http.Request, deadlineMs int) (context.Context, context.CancelFunc) {
+	const maxDeadlineMs = math.MaxInt64 / int64(time.Millisecond)
 	switch {
 	case deadlineMs > 0:
-		return context.WithTimeout(r.Context(), time.Duration(deadlineMs)*time.Millisecond)
+		ms := min(int64(deadlineMs), maxDeadlineMs)
+		return context.WithTimeout(r.Context(), time.Duration(ms)*time.Millisecond)
 	case s.DefaultDeadline > 0:
 		return context.WithTimeout(r.Context(), s.DefaultDeadline)
 	default:

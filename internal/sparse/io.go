@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"fmt"
 	"io"
+	"math/bits"
 	"strconv"
 	"strings"
 )
@@ -29,6 +30,16 @@ func WriteMatrixMarket(w io.Writer, m *CSR) error {
 	return bw.Flush()
 }
 
+// maxEmptyDim is how far a dimension may exceed the declared entry
+// count. CSR storage costs 16 bytes a row before the first entry, and the
+// entries must all arrive before it is built, so a 60-byte header can
+// claim 16 MB and no more; a real matrix has few empty rows or columns.
+const maxEmptyDim = 1 << 20
+
+// maxEntriesPresized caps the entry capacity reserved from the declared
+// count; a larger matrix grows by appending.
+const maxEntriesPresized = 1 << 20
+
 // ReadMatrixMarket parses a MatrixMarket coordinate file. Supported
 // qualifiers: real/integer/pattern and general/symmetric. Symmetric input
 // is expanded to general storage (mirror entries added for off-diagonals).
@@ -39,6 +50,13 @@ func WriteMatrixMarket(w io.Writer, m *CSR) error {
 // entries and trailing at EOF), and CRLF line endings are all accepted.
 // Data lines beyond the declared entry count are an error — a count
 // mismatch means a truncated or corrupt upload, not formatting noise.
+//
+// The size line is outside input and is not trusted: a negative
+// dimension or count, more entries than the matrix has cells, and a
+// dimension more than maxEmptyDim above the entry count are errors, and
+// memory for the entries is taken as they arrive. What a reader
+// allocates is then bounded by what its input delivered, not by what the
+// header claimed.
 func ReadMatrixMarket(r io.Reader) (*CSR, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 1<<20), 1<<26)
@@ -90,9 +108,19 @@ func ReadMatrixMarket(r io.Reader) (*CSR, error) {
 		}
 		break
 	}
+	if rows < 0 || cols < 0 || nnz < 0 {
+		return nil, fmt.Errorf("sparse: negative size line %d %d %d", rows, cols, nnz)
+	}
+	if hi, cells := bits.Mul64(uint64(rows), uint64(cols)); hi == 0 && uint64(nnz) > cells {
+		return nil, fmt.Errorf("sparse: %d entries declared for a %dx%d matrix", nnz, rows, cols)
+	}
+	if rows-maxEmptyDim > nnz || cols-maxEmptyDim > nnz {
+		return nil, fmt.Errorf("sparse: %dx%d matrix with %d entries: a dimension may exceed the entry count by at most %d",
+			rows, cols, nnz, maxEmptyDim)
+	}
 
 	c := NewCOO(rows, cols)
-	c.Entries = make([]Entry, 0, nnz)
+	c.Entries = make([]Entry, 0, min(nnz, maxEntriesPresized))
 	for read := 0; read < nnz; {
 		if !sc.Scan() {
 			// A truncated stream and a failed read are different failures:

@@ -3,7 +3,9 @@ package sparse
 import (
 	"bytes"
 	"fmt"
+	"math"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -125,4 +127,83 @@ func TestMatrixMarketRoundTripFuzz(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// sizeLineCrashers are inputs whose size line alone used to panic the
+// reader (makeslice: cap / len out of range): a negative count, a count
+// no machine can hold, a negative dimension.
+var sizeLineCrashers = []string{
+	mmGeneral + "1 1 -1\n",
+	mmGeneral + "1 1 4611686018427387904\n",
+	mmGeneral + "-5 1 0\n",
+}
+
+const mmGeneral = "%%MatrixMarket matrix coordinate real general\n"
+
+// TestMatrixMarketRejectsUntrustedSizeLine: the size line is outside
+// input. A count or dimension that cannot be true is an error, never a
+// panic, and a count that could be true reserves nothing until entries
+// arrive.
+func TestMatrixMarketRejectsUntrustedSizeLine(t *testing.T) {
+	cases := append([]string{
+		mmGeneral + "2 2 5\n1 1 1\n", // more entries than cells
+		// 60 bytes that would be a 16 GB RowPtr — out of memory, which no
+		// recover contains: a dimension is bounded by the entries delivered.
+		mmGeneral + "2000000000 1 0\n",
+		mmGeneral + "1 2000000000 1\n1 1 1\n",
+		mmGeneral + fmt.Sprintf("%d 1 0\n", maxEmptyDim+1),
+		mmGeneral + "4611686018427387904 4 1\n1 1 1\n", // rows*cols wraps to 0
+		// Legal, and 16 GB of entries if taken at its word: fails on the
+		// missing first entry instead.
+		mmGeneral + "100000 100000 1000000000\n",
+	}, sizeLineCrashers...)
+	for _, in := range cases {
+		if m, err := ReadMatrixMarket(strings.NewReader(in)); err == nil {
+			t.Errorf("accepted %q as %dx%d nnz=%d", in, m.Rows, m.Cols, m.NNZ())
+		}
+	}
+	// The bound is on empty rows and columns, not on size.
+	in := mmGeneral + fmt.Sprintf("%d 3 2\n1 1 1\n2 3 1\n", maxEmptyDim+2)
+	if _, err := ReadMatrixMarket(strings.NewReader(in)); err != nil {
+		t.Errorf("rejected a matrix with %d empty rows: %v", maxEmptyDim, err)
+	}
+}
+
+// FuzzMatrixMarket: no input panics the reader, and whatever it accepts
+// round-trips — written back out and read again it is the same CSR.
+func FuzzMatrixMarket(f *testing.F) {
+	for _, seed := range sizeLineCrashers {
+		f.Add([]byte(seed))
+	}
+	for _, seed := range []string{
+		"\ufeff%%MatrixMarket matrix coordinate real general\r\n% comment\r\n2 2 2\r\n1 1 1.0\r\n2 2 4.0\r\n\r\n",
+		mmGeneral + "% banner\n\n2 3 2\n% entries follow\n1 1 1.5\n\n2 3 -2.0\n% trailing\n\n",
+		"%%MatrixMarket matrix coordinate real symmetric\n3 3 3\n1 1 2.0\n2 1 5.0\n3 3 1.0\n",
+		"%%MatrixMarket matrix coordinate pattern general\n2 2 2\n1 1\n2 2\n",
+		"%%MatrixMarket matrix coordinate integer general\n2 2 1\n5 1 1\n",
+	} {
+		f.Add([]byte(seed))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		m, err := ReadMatrixMarket(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		var buf bytes.Buffer
+		if err := WriteMatrixMarket(&buf, m); err != nil {
+			t.Fatal(err)
+		}
+		back, err := ReadMatrixMarket(&buf)
+		if err != nil {
+			t.Fatalf("re-reading what was written: %v\n%s", err, buf.Bytes())
+		}
+		// Equal compares values with ==; a NaN entry is the same entry.
+		same := m.Rows == back.Rows && m.Cols == back.Cols && slices.Equal(m.RowPtr, back.RowPtr) &&
+			slices.Equal(m.ColIdx, back.ColIdx) && slices.EqualFunc(m.Val, back.Val, func(a, b float64) bool {
+			return a == b || math.IsNaN(a) && math.IsNaN(b)
+		})
+		if !same {
+			t.Fatalf("round trip changed the matrix:\n%q\n%s", data, buf.Bytes())
+		}
+	})
 }
